@@ -43,8 +43,6 @@ from .grid import (
     weighted_integral,
 )
 from .helmholtz import (
-    KernelMethod,
-    KernelSpec,
     apply_lambda2,
     dx_invert_lambda2,
     green_kernel,
@@ -69,7 +67,6 @@ from .solver import (
     Termination,
     Trajectory,
     manufactured_forcing,
-    rhs_dissipative,
     rhs_nonlocal,
     simulate,
     step_rk4,
@@ -88,8 +85,6 @@ __all__ = [
     "Grid",
     "GridKind",
     "H2Variant",
-    "KernelMethod",
-    "KernelSpec",
     "ManufacturedSolution",
     "NonFiniteFieldError",
     "PhysParams",
@@ -118,7 +113,6 @@ __all__ = [
     "manufactured_forcing",
     "map_solution",
     "mass",
-    "rhs_dissipative",
     "rhs_nonlocal",
     "sign_kernel_S",
     "simulate",

@@ -3,7 +3,7 @@
 Verbs:
     dghlab run <config.yaml>     run one scenario, write artifacts
     dghlab list                  enumerate experiment kinds
-    dghlab describe <kind>       explain what one kind checks
+    dghlab describe <kind>       explain what one kind checks, list its options
     dghlab version               print the package version
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 invalid
@@ -23,74 +23,19 @@ import numpy as np
 
 from . import __version__
 from .artifacts import write_metadata, write_series_csv, write_snapshot_csv, write_svg_lineplot
-from .experiments import ExperimentResult, execute
+from .experiments import KINDS, ExperimentKind, ExperimentResult, Option, execute
 from .grid import NonFiniteFieldError
 from .helmholtz import apply_lambda2
-from .scenario import ExperimentKind, Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 
 __all__ = ["describe", "entrypoint", "list_kinds", "main", "run_scenario"]
 
 OUTPUT_ROOT_ENV = "DGHLAB_OUTPUT_ROOT"
 
-_DESCRIPTIONS = {
-    ExperimentKind.FREE_RUN: (
-        "Integrate the equation from the configured initial data and record\n"
-        "field snapshots plus energy and mass time series.  Checks only that\n"
-        "the run stays finite."
-    ),
-    ExperimentKind.SUPPORT_PROPAGATION: (
-        "Start from initial data whose momentum combination m + omega + gamma/2\n"
-        "is a compact bump, track the characteristic paths q(t, .) of the two\n"
-        "support edges (dq/dt = u(t, q) - gamma), and check that the detected\n"
-        "support of m(t) + omega + gamma/2 stays inside the transported cone\n"
-        "[q(t, a) - 3h, q(t, b) + 3h].  The momentum support moves with the\n"
-        "flow; it never spreads ahead of it."
-    ),
-    ExperimentKind.TAIL_FORMATION: (
-        "Evolve compactly supported initial data briefly on the truncated line\n"
-        "(with gamma = -2 omega) and fit the decay rate of ln|u| in windows\n"
-        "outside the momentum support.  The velocity field instantly develops\n"
-        "pure exponential tails: rate -1 on the right, +1 on the left, because\n"
-        "outside the momentum support u is an exponentially weighted moment of\n"
-        "the momentum."
-    ),
-    ExperimentKind.CONTINUATION_PROBE: (
-        "For gamma = -2 omega the equation is equivalent to the pointwise\n"
-        "identity F = -(u_t + (u + 2 omega) u_x) where F is the spatial\n"
-        "derivative of the smoothed quadratic density u^2 + u_x^2/2.  This\n"
-        "experiment evaluates the residual of that identity on every snapshot\n"
-        "(with u_t from the semidiscrete right-hand side) and also counts\n"
-        "space-time rectangles on which the solution vanishes; a nontrivial\n"
-        "run must admit none."
-    ),
-    ExperimentKind.DISSIPATIVE_EQUIVALENCE: (
-        "Simulate the weakly damped equation (damping lambda * (u - u_xx))\n"
-        "directly, then rebuild the same solution from an undamped run through\n"
-        "the exponential clock change u(t, x) = exp(-lambda t) v(tau, x) with\n"
-        "tau = (1 - exp(-lambda t))/lambda, and report the per-time difference.\n"
-        "Requires omega = gamma = 0, where the change of variables is exact."
-    ),
-    ExperimentKind.INVARIANT_AUDIT: (
-        "Track the conserved functionals along a run: the quadratic energy\n"
-        "(half the squared H^1 norm), the mass, and both printed variants of\n"
-        "the cubic functional.  For conservative runs the energy and mass\n"
-        "drifts must stay below tolerance; for damped runs the energy must\n"
-        "decrease strictly.  Optionally rerun at half the time step to decide\n"
-        "empirically which cubic variant is the conserved one."
-    ),
-    ExperimentKind.MANUFACTURED_CONVERGENCE: (
-        "Force the equation so that u*(t, x) = exp(-t) * (initial profile) is\n"
-        "an exact solution, then measure the max-norm error at the final time\n"
-        "for a ladder of time steps.  The error must match the exact solution\n"
-        "to tolerance and shrink at the integrator's fourth order."
-    ),
-}
-
-
 def list_kinds() -> str:
     lines = ["Available experiment kinds:"]
     for kind in ExperimentKind:
-        first = _DESCRIPTIONS[kind].splitlines()[0]
+        first = KINDS[kind].description.splitlines()[0]
         lines.append(f"  {kind.value:24s} {first}")
     return "\n".join(lines)
 
@@ -103,7 +48,23 @@ def describe(kind_name: str) -> str:
             f"unknown experiment kind {kind_name!r}; choose from "
             f"{[k.value for k in ExperimentKind]}"
         ) from None
-    return f"{kind.value}\n\n{_DESCRIPTIONS[kind]}"
+    spec = KINDS[kind]
+    lines = [kind.value, "", spec.description]
+    if spec.options:
+        lines += ["", "Options:"]
+        lines += [f"  {name}: {_option_summary(opt)}" for name, opt in spec.options.items()]
+    return "\n".join(lines)
+
+
+def _option_summary(opt: Option) -> str:
+    text = {float: "float", bool: "bool", list: "list of floats"}[opt.type]
+    if opt.low is not None and opt.high is not None:
+        text += f" in ({opt.low:g}, {opt.high:g})"
+    elif opt.low is not None:
+        text += f" > {opt.low:g}"
+    if not callable(opt.default):  # a derived default is stated in the help
+        text += f", default {opt.default!r}"
+    return f"{text} -- {opt.help}"
 
 
 def _output_dir(scn: Scenario, root_override: str | None) -> Path:
@@ -235,3 +196,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

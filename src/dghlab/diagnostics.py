@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, derivative
-from .helmholtz import KernelSpec, dx_invert_lambda2, invert_lambda2
+from .helmholtz import dx_invert_lambda2, invert_lambda2
 from .solver import PhysParams, Trajectory
 
 __all__ = [
@@ -108,7 +108,6 @@ def continuation_probe(
     rhs_at_snapshot: Field,
     p: PhysParams,
     quiet_tol: float = 1e-12,
-    spec: KernelSpec | None = None,
 ) -> ContinuationProbe:
     """Evaluate the nonlocal-identity residual; requires gamma = -2 omega."""
     if abs(p.gamma + 2.0 * p.omega) > 1e-12 * (1.0 + abs(p.gamma)):
@@ -117,8 +116,8 @@ def continuation_probe(
         )
     ux = derivative(u, 1)
     h = Field(u.grid, u.values**2 + 0.5 * ux.values**2)
-    F = dx_invert_lambda2(h, spec)
-    f_field = invert_lambda2(h, spec)
+    F = dx_invert_lambda2(h)
+    f_field = invert_lambda2(h)
     residual = Field(
         u.grid,
         F.values + rhs_at_snapshot.values + (u.values + 2.0 * p.omega) * ux.values,

@@ -1,16 +1,24 @@
-"""Experiment runners behind the CLI: one per scenario kind.
+"""The experiment kinds: one table entry per kind, and the runners behind them.
+
+``KINDS`` is the single description of each kind: what it checks, its
+options (type, default, allowed range), the grid and parameters it needs, and
+its runner.  ``parse_scenario`` validates configs against it, ``execute``
+dispatches through it and the CLI prints ``list``/``describe`` from it.
 
 Each runner simulates what its scenario describes, evaluates the scenario's
 assertions as Check records, and returns the tables and snapshots to persist.
-Runners never raise on a numerically failed run (a trajectory that hit the
-NaN guard is reported, with whatever prefix was computed); they only raise on
-programming or configuration errors.
+Runners read every option from ``scn.options``, which parsing has validated
+and filled with defaults.  They never raise on a numerically failed run (a
+trajectory that hit the NaN guard is reported, with whatever prefix was
+computed); they only raise on programming or configuration errors.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -33,19 +41,30 @@ from .invariants import (
     mass,
 )
 from .profiles import make_profile
-from .scenario import ExperimentKind, Scenario, ScenarioError
 from .solver import (
     ManufacturedSolution,
-    SimConfig,
+    PhysParams,
     Termination,
     Trajectory,
     manufactured_forcing,
-    rhs_dissipative,
     rhs_nonlocal,
     simulate,
 )
 
-__all__ = ["Check", "ExperimentResult", "execute"]
+if TYPE_CHECKING:
+    from .scenario import Scenario
+
+__all__ = ["KINDS", "Check", "ExperimentKind", "ExperimentResult", "Kind", "Option", "execute"]
+
+
+class ExperimentKind(enum.Enum):
+    FREE_RUN = "FreeRun"
+    SUPPORT_PROPAGATION = "SupportPropagation"
+    TAIL_FORMATION = "TailFormation"
+    CONTINUATION_PROBE = "ContinuationProbe"
+    DISSIPATIVE_EQUIVALENCE = "DissipativeEquivalence"
+    INVARIANT_AUDIT = "InvariantAudit"
+    MANUFACTURED_CONVERGENCE = "ManufacturedConvergence"
 
 
 @dataclass(frozen=True)
@@ -146,11 +165,11 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     e = drift_series(traj, energy_h1, "energy_h1")
     m = drift_series(traj, mass, "mass")
     if scn.params.lam == 0.0:
-        e_tol = opts.get("energy_tol", 1e-6)
-        m_tol = opts.get("mass_tol", 1e-8)
+        e_tol = opts["energy_tol"]
+        m_tol = opts["mass_tol"]
         result.checks.append(Check("energy_drift", e.drift < e_tol, e.drift, e_tol))
         result.checks.append(Check("mass_drift", m.drift < m_tol, m.drift, m_tol))
-    elif opts.get("expect_decreasing_energy", True):
+    elif opts["expect_decreasing_energy"]:
         diffs = np.diff(e.values)
         result.checks.append(
             Check(
@@ -164,7 +183,7 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
         s = drift_series(traj, lambda u, v=variant: hamiltonian_h2(u, scn.params, v), variant.value)
         result.series[f"h2_{variant.value}"] = (s.times, s.values)
 
-    if opts.get("discriminate_h2", False):
+    if opts["discriminate_h2"]:
         fine = _run(scn, dt=scn.solver["dt"] / 2.0, snapshot_stride=scn.solver["snapshot_stride"] * 2)
         disc = discriminate_h2(traj, fine, scn.params)
         result.metadata["h2_conserved_variant"] = (
@@ -188,11 +207,8 @@ def _momentum_shifted(traj: Trajectory, k: int, c: float) -> Field:
 
 
 def _run_support(scn: Scenario) -> ExperimentResult:
-    if scn.grid.kind is not GridKind.TRUNCATED_LINE:
-        raise ScenarioError("SupportPropagation runs on a truncated-line grid")
-    opts = scn.options
-    thr_rel = opts.get("support_threshold_rel", 1e-6)
-    margin = opts.get("margin_spacings", 3.0)
+    thr_rel = scn.options["support_threshold_rel"]
+    margin = scn.options["margin_spacings"]
     result = ExperimentResult()
     traj = _run(scn)
     _record_run(result, traj)
@@ -207,7 +223,7 @@ def _run_support(scn: Scenario) -> ExperimentResult:
     seed_rel = max(1e-12, 1e-6 * thr_rel)
     rep0 = support_interval(m0, seed_rel * m0.max_abs())
     if rep0.empty:
-        raise ScenarioError("initial momentum has empty support; nothing to propagate")
+        raise ValueError("initial momentum has empty support; nothing to propagate")
     paths = evolve_characteristics(traj, [rep0.interval[0], rep0.interval[1]])
     h = scn.grid.spacing
 
@@ -245,12 +261,9 @@ def _run_support(scn: Scenario) -> ExperimentResult:
 
 
 def _run_tails(scn: Scenario) -> ExperimentResult:
-    if scn.grid.kind is not GridKind.TRUNCATED_LINE:
-        raise ScenarioError("TailFormation runs on a truncated-line grid")
-    opts = scn.options
-    offset = opts.get("window_offset", 3.0)
-    width = opts.get("window_width", 2.0)
-    rate_tol = opts.get("rate_tol", 0.05)
+    offset = scn.options["window_offset"]
+    width = scn.options["window_width"]
+    rate_tol = scn.options["rate_tol"]
     result = ExperimentResult()
     traj = _run(scn)
     _record_run(result, traj)
@@ -276,8 +289,7 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
 
 
 def _run_probe(scn: Scenario) -> ExperimentResult:
-    opts = scn.options
-    tol = opts.get("residual_tol", 1e-6)
+    tol = scn.options["residual_tol"]
     result = ExperimentResult()
     traj = _run(scn)
     _record_run(result, traj)
@@ -285,12 +297,7 @@ def _run_probe(scn: Scenario) -> ExperimentResult:
 
     residuals = []
     for snap in traj.snapshots:
-        rhs = (
-            rhs_dissipative(snap, scn.params)
-            if scn.params.lam > 0
-            else rhs_nonlocal(snap, scn.params)
-        )
-        probe = continuation_probe(snap, rhs, scn.params)
+        probe = continuation_probe(snap, rhs_nonlocal(snap, scn.params), scn.params)
         residuals.append(probe.max_residual)
     residuals = np.asarray(residuals)
     result.series["probe_residual"] = (traj.times, residuals)
@@ -304,36 +311,23 @@ def _run_probe(scn: Scenario) -> ExperimentResult:
 
 
 def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
-    opts = scn.options
-    lambdas = opts.get("lambdas", [0.1, 0.5, 1.0])
-    tol = opts.get("error_tol", 1e-5)
+    tol = scn.options["error_tol"]
     result = ExperimentResult()
     u0 = _initial_field(scn)
     dt = scn.solver["dt"]
     worst_by_lambda = {}
-    for lam in lambdas:
-        p_dis = replace(scn.params, lam=float(lam))
-        cfg_direct = SimConfig(
-            scn.grid,
-            p_dis,
-            dt=dt,
-            t_end=scn.solver["t_end"],
-            snapshot_stride=scn.solver["snapshot_stride"],
-            blowup_guard=scn.solver["blowup_guard"],
-        )
-        direct = simulate(cfg_direct, u0)
-        tau_max = TransformSpec(float(lam), scn.solver["t_end"]).tau_max
+    for lam in scn.options["lambdas"]:
+        direct = simulate(scn.sim_config(lam=lam), u0)
+        tau_max = TransformSpec(lam, scn.solver["t_end"]).tau_max
         n_steps = max(1, int(math.ceil(tau_max / dt)))
-        cfg_cons = SimConfig(
-            scn.grid,
-            replace(scn.params, lam=0.0),
+        cfg_cons = scn.sim_config(
+            lam=0.0,
             dt=tau_max / n_steps,
             t_end=tau_max,
             snapshot_stride=max(1, scn.solver["snapshot_stride"] // 2),
-            blowup_guard=scn.solver["blowup_guard"],
         )
         conservative = simulate(cfg_cons, u0)
-        mapped = map_solution(conservative, float(lam), times=direct.times)
+        mapped = map_solution(conservative, lam, times=direct.times)
         rep = equivalence_report(direct, mapped)
         worst_by_lambda[lam] = rep.worst
         result.series[f"equivalence_err_lambda_{lam:g}"] = (rep.times, rep.max_abs)
@@ -348,11 +342,9 @@ def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
 
 def _run_manufactured(scn: Scenario) -> ExperimentResult:
     opts = scn.options
-    base_dt = scn.solver["dt"]
-    dts = opts.get("dts", [2.0 * base_dt, base_dt])
-    err_tol = opts.get("error_tol", 1e-6)
-    expected_order = opts.get("order", 4.0)
-    order_tol = opts.get("order_tol", 0.2)
+    err_tol = opts["error_tol"]
+    expected_order = opts["order"]
+    order_tol = opts["order_tol"]
     t_end = scn.solver["t_end"]
 
     profile = _initial_field(scn)
@@ -364,20 +356,13 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
 
     result = ExperimentResult()
     errors = []
-    for dt in sorted(dts, reverse=True):
-        cfg = SimConfig(
-            scn.grid,
-            scn.params,
-            dt=float(dt),
-            t_end=t_end,
-            snapshot_stride=max(1, int(round(t_end / dt / 10))),
-            blowup_guard=scn.solver["blowup_guard"],
-        )
+    for dt in sorted(opts["dts"], reverse=True):
+        cfg = scn.sim_config(dt=dt, snapshot_stride=max(1, int(round(t_end / dt / 10))))
         traj = simulate(cfg, profile, forcing=forcing)
         err = float(
             np.max(np.abs(traj.snapshots[-1].values - exact.u(t_end, scn.grid.nodes)))
         )
-        errors.append((float(dt), err))
+        errors.append((dt, err))
         if not result.snapshots:
             _record_run(result, traj)
     result.series["error_vs_dt"] = (
@@ -405,16 +390,148 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
     return result
 
 
-_RUNNERS = {
-    ExperimentKind.FREE_RUN: _run_free,
-    ExperimentKind.INVARIANT_AUDIT: _run_invariant_audit,
-    ExperimentKind.SUPPORT_PROPAGATION: _run_support,
-    ExperimentKind.TAIL_FORMATION: _run_tails,
-    ExperimentKind.CONTINUATION_PROBE: _run_probe,
-    ExperimentKind.DISSIPATIVE_EQUIVALENCE: _run_dissipative_equivalence,
-    ExperimentKind.MANUFACTURED_CONVERGENCE: _run_manufactured,
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting of an experiment kind.
+
+    ``type`` is float, bool or list (a nonempty list of numbers).  ``low`` and
+    ``high`` are exclusive bounds on a float or on every entry of a list.  A
+    callable ``default`` is evaluated on the scenario's solver section.
+    """
+
+    type: type
+    default: Any
+    low: float | None = None
+    high: float | None = None
+    help: str = ""
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything dghlab knows about one experiment kind."""
+
+    description: str
+    runner: Callable[[Scenario], ExperimentResult]
+    options: dict[str, Option] = field(default_factory=dict)
+    grid: GridKind | None = None  # the grid kind the experiment needs, if any
+    params: tuple[Callable[[PhysParams], bool], str] | None = None  # (holds, why)
+
+
+def _tolerance(default: float, help: str) -> Option:
+    return Option(float, default, low=0.0, help=help)
+
+
+KINDS: dict[ExperimentKind, Kind] = {
+    ExperimentKind.FREE_RUN: Kind(
+        "Integrate the equation from the configured initial data and record\n"
+        "field snapshots plus energy and mass time series.  Checks only that\n"
+        "the run stays finite.",
+        _run_free,
+    ),
+    ExperimentKind.SUPPORT_PROPAGATION: Kind(
+        "Start from initial data whose momentum combination m + omega + gamma/2\n"
+        "is a compact bump, track the characteristic paths q(t, .) of the two\n"
+        "support edges (dq/dt = u(t, q) - gamma), and check that the detected\n"
+        "support of m(t) + omega + gamma/2 stays inside the transported cone\n"
+        "[q(t, a) - 3h, q(t, b) + 3h].  The momentum support moves with the\n"
+        "flow; it never spreads ahead of it.",
+        _run_support,
+        {
+            "support_threshold_rel": Option(
+                float, 1e-6, low=0.0, high=1.0, help="support level relative to max |m|"
+            ),
+            "margin_spacings": Option(float, 3.0, help="slack of the cone, in grid spacings"),
+        },
+        grid=GridKind.TRUNCATED_LINE,
+    ),
+    ExperimentKind.TAIL_FORMATION: Kind(
+        "Evolve compactly supported initial data briefly on the truncated line\n"
+        "(with gamma = -2 omega) and fit the decay rate of ln|u| in windows\n"
+        "outside the momentum support.  The velocity field instantly develops\n"
+        "pure exponential tails: rate -1 on the right, +1 on the left, because\n"
+        "outside the momentum support u is an exponentially weighted moment of\n"
+        "the momentum.",
+        _run_tails,
+        {
+            "window_offset": Option(float, 3.0, help="gap between support and fit window"),
+            "window_width": Option(float, 2.0, low=0.0, help="width of each fit window"),
+            "rate_tol": _tolerance(0.05, "allowed deviation of each rate from -1 / +1"),
+        },
+        grid=GridKind.TRUNCATED_LINE,
+    ),
+    ExperimentKind.CONTINUATION_PROBE: Kind(
+        "For gamma = -2 omega the equation is equivalent to the pointwise\n"
+        "identity F = -(u_t + (u + 2 omega) u_x) where F is the spatial\n"
+        "derivative of the smoothed quadratic density u^2 + u_x^2/2.  This\n"
+        "experiment evaluates the residual of that identity on every snapshot\n"
+        "(with u_t from the semidiscrete right-hand side) and also counts\n"
+        "space-time rectangles on which the solution vanishes; a nontrivial\n"
+        "run must admit none.",
+        _run_probe,
+        {"residual_tol": _tolerance(1e-6, "bound on the max identity residual")},
+        params=(
+            lambda p: abs(p.gamma + 2.0 * p.omega) <= 1e-12,
+            "ContinuationProbe requires gamma = -2 omega",
+        ),
+    ),
+    ExperimentKind.DISSIPATIVE_EQUIVALENCE: Kind(
+        "Simulate the weakly damped equation (damping lambda * (u - u_xx))\n"
+        "directly, then rebuild the same solution from an undamped run through\n"
+        "the exponential clock change u(t, x) = exp(-lambda t) v(tau, x) with\n"
+        "tau = (1 - exp(-lambda t))/lambda, and report the per-time difference.\n"
+        "Requires omega = gamma = 0, where the change of variables is exact.",
+        _run_dissipative_equivalence,
+        {
+            "lambdas": Option(list, [0.1, 0.5, 1.0], low=0.0, help="damping rates to compare"),
+            "error_tol": _tolerance(1e-5, "bound on the max direct-vs-mapped difference"),
+        },
+        params=(
+            lambda p: p.omega == 0.0 and p.gamma == 0.0,
+            "DissipativeEquivalence requires omega = gamma = 0 (the exponential "
+            "rescaling is exact only for the drift-free member of the family)",
+        ),
+    ),
+    ExperimentKind.INVARIANT_AUDIT: Kind(
+        "Track the conserved functionals along a run: the quadratic energy\n"
+        "(half the squared H^1 norm), the mass, and both printed variants of\n"
+        "the cubic functional.  For conservative runs the energy and mass\n"
+        "drifts must stay below tolerance; for damped runs the energy must\n"
+        "decrease strictly.  Optionally rerun at half the time step to decide\n"
+        "empirically which cubic variant is the conserved one.",
+        _run_invariant_audit,
+        {
+            "energy_tol": _tolerance(1e-6, "bound on the relative energy drift"),
+            "mass_tol": _tolerance(1e-8, "bound on the relative mass drift"),
+            "discriminate_h2": Option(bool, False, help="rerun at dt/2 to find the cubic invariant"),
+            "expect_decreasing_energy": Option(
+                bool, True, help="damped runs: check the energy decreases"
+            ),
+        },
+    ),
+    ExperimentKind.MANUFACTURED_CONVERGENCE: Kind(
+        "Force the equation so that u*(t, x) = exp(-t) * (initial profile) is\n"
+        "an exact solution, then measure the max-norm error at the final time\n"
+        "for a ladder of time steps.  The error must match the exact solution\n"
+        "to tolerance and shrink at the integrator's fourth order.",
+        _run_manufactured,
+        {
+            "dts": Option(
+                list,
+                lambda solver: [2.0 * solver["dt"], solver["dt"]],
+                low=0.0,
+                help="time-step ladder, default [2 dt, dt] from the solver section",
+            ),
+            "error_tol": _tolerance(1e-6, "bound on the error at the finest dt"),
+            "order": Option(float, 4.0, low=0.0, help="expected temporal order"),
+            "order_tol": _tolerance(0.2, "allowed deviation of the observed order"),
+        },
+        grid=GridKind.PERIODIC,
+    ),
 }
 
 
 def execute(scn: Scenario) -> ExperimentResult:
-    return _RUNNERS[scn.kind](scn)
+    return KINDS[scn.kind].runner(scn)

@@ -7,8 +7,8 @@ The inverse is a convolution ``g * f`` with
   (for convolution the two-argument form ``x - y - floor(x - y) - 1/2`` is
   used verbatim).
 
-On periodic grids the inverse can also be evaluated by spectral division,
-dividing Fourier coefficient k by ``1 + 4 pi^2 k^2``.
+On periodic grids the inverse is evaluated by spectral division, dividing
+Fourier coefficient k by ``1 + 4 pi^2 k^2``.
 
 On the truncated line the convolution integral is truncated at the grid
 boundary; the kernel's exponential decay bounds the truncation error at a
@@ -28,9 +28,7 @@ path is retained for oracle tests.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -38,8 +36,6 @@ from scipy.signal import lfilter
 from .grid import Field, Grid, GridKind, _check_boundary_decay, derivative
 
 __all__ = [
-    "KernelMethod",
-    "KernelSpec",
     "apply_lambda2",
     "dx_invert_lambda2",
     "dx_invert_lambda2_reference",
@@ -47,32 +43,6 @@ __all__ = [
     "invert_lambda2",
     "invert_lambda2_reference",
 ]
-
-
-class KernelMethod(enum.Enum):
-    SPECTRAL_DIVISION = "spectral_division"
-    DIRECT_CONVOLUTION = "direct_convolution"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Domain kind plus inversion method; spectral division is periodic-only."""
-
-    kind: GridKind
-    method: KernelMethod
-
-    def __post_init__(self):
-        if (
-            self.method is KernelMethod.SPECTRAL_DIVISION
-            and self.kind is not GridKind.PERIODIC
-        ):
-            raise ValueError("spectral division is only available on periodic grids")
-
-    @classmethod
-    def default_for(cls, grid: Grid) -> "KernelSpec":
-        if grid.is_periodic:
-            return cls(GridKind.PERIODIC, KernelMethod.SPECTRAL_DIVISION)
-        return cls(GridKind.TRUNCATED_LINE, KernelMethod.DIRECT_CONVOLUTION)
 
 
 def green_kernel(kind: GridKind, x) -> np.ndarray | float:
@@ -88,14 +58,6 @@ def green_kernel(kind: GridKind, x) -> np.ndarray | float:
 def apply_lambda2(u: Field) -> Field:
     """u - u_xx; the momentum of a velocity field."""
     return u - derivative(u, 2)
-
-
-def _resolve_spec(f: Field, spec: KernelSpec | None) -> KernelSpec:
-    if spec is None:
-        return KernelSpec.default_for(f.grid)
-    if spec.kind is not f.grid.kind:
-        raise ValueError(f"kernel spec is for {spec.kind}, field lives on {f.grid.kind}")
-    return spec
 
 
 # -- periodic paths ---------------------------------------------------------
@@ -116,21 +78,6 @@ def _dx_invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
     if grid.n % 2 == 0:
         coef[-1] = 0.0
     return np.fft.irfft(coef, n=grid.n)
-
-
-def _periodic_kernel_samples(grid: Grid, derivative_of_kernel: bool) -> np.ndarray:
-    z = grid.nodes - np.floor(grid.nodes) - 0.5
-    if derivative_of_kernel:
-        g = np.sinh(z) / (2.0 * math.sinh(0.5))
-        g[0] = 0.0  # jump at the kernel corner: take the two-sided average
-    else:
-        g = np.cosh(z) / (2.0 * math.sinh(0.5))
-    return g
-
-
-def _circular_convolve(grid: Grid, kernel: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    conv = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(vals), n=grid.n)
-    return grid.spacing * conv
 
 
 # -- truncated-line path ----------------------------------------------------
@@ -211,27 +158,19 @@ def _line_exponential_parts(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, n
     return P, Q
 
 
-def invert_lambda2(f: Field, spec: KernelSpec | None = None) -> Field:
+def invert_lambda2(f: Field) -> Field:
     """Green's-function convolution g * f inverting the Helmholtz operator."""
-    spec = _resolve_spec(f, spec)
-    if spec.method is KernelMethod.SPECTRAL_DIVISION:
-        return Field(f.grid, _invert_periodic_spectral(f.grid, f.values))
     if f.grid.is_periodic:
-        g = _periodic_kernel_samples(f.grid, derivative_of_kernel=False)
-        return Field(f.grid, _circular_convolve(f.grid, g, f.values))
+        return Field(f.grid, _invert_periodic_spectral(f.grid, f.values))
     _check_boundary_decay(f.grid, f.values, "invert_lambda2")
     P, Q = _line_exponential_parts(f.grid, f.values)
     return Field(f.grid, 0.5 * (P + Q))
 
 
-def dx_invert_lambda2(f: Field, spec: KernelSpec | None = None) -> Field:
+def dx_invert_lambda2(f: Field) -> Field:
     """d/dx of the Green's-function convolution, i.e. convolution with g'."""
-    spec = _resolve_spec(f, spec)
-    if spec.method is KernelMethod.SPECTRAL_DIVISION:
-        return Field(f.grid, _dx_invert_periodic_spectral(f.grid, f.values))
     if f.grid.is_periodic:
-        gp = _periodic_kernel_samples(f.grid, derivative_of_kernel=True)
-        return Field(f.grid, _circular_convolve(f.grid, gp, f.values))
+        return Field(f.grid, _dx_invert_periodic_spectral(f.grid, f.values))
     _check_boundary_decay(f.grid, f.values, "dx_invert_lambda2")
     P, Q = _line_exponential_parts(f.grid, f.values)
     return Field(f.grid, 0.5 * (Q - P))

@@ -1,18 +1,20 @@
 """Scenario configs: a YAML document describing one experiment run.
 
 Every field is validated before the run and unknown keys are rejected, so a
-typo in a config never silently changes an experiment.  See the README for
-the full schema and one example per experiment kind.
+typo in a config never silently changes an experiment.  The options, grid
+and parameter constraints of each kind come from ``experiments.KINDS``; the
+parsed scenario carries every option of its kind, defaults filled in.  See
+the README for the schema and ``dghlab describe <kind>`` for the options.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
+from .experiments import KINDS, ExperimentKind, Option
 from .grid import Grid, GridKind, make_grid
 from .solver import PhysParams, SimConfig
 
@@ -23,36 +25,11 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
-class ExperimentKind(enum.Enum):
-    FREE_RUN = "FreeRun"
-    SUPPORT_PROPAGATION = "SupportPropagation"
-    TAIL_FORMATION = "TailFormation"
-    CONTINUATION_PROBE = "ContinuationProbe"
-    DISSIPATIVE_EQUIVALENCE = "DissipativeEquivalence"
-    INVARIANT_AUDIT = "InvariantAudit"
-    MANUFACTURED_CONVERGENCE = "ManufacturedConvergence"
-
-
 _GRID_KEYS = {"kind", "n", "half_width"}
 _PARAM_KEYS = {"omega", "gamma", "lambda"}
 _INITIAL_KEYS = {"family", "amplitude", "center", "width", "modes", "mean", "space"}
 _SOLVER_KEYS = {"dt", "t_end", "snapshot_stride", "blowup_guard"}
 _TOP_KEYS = {"name", "kind", "grid", "params", "initial", "solver", "output_dir", "options"}
-
-_OPTION_KEYS: dict[ExperimentKind, set[str]] = {
-    ExperimentKind.FREE_RUN: set(),
-    ExperimentKind.SUPPORT_PROPAGATION: {"support_threshold_rel", "margin_spacings"},
-    ExperimentKind.TAIL_FORMATION: {"window_offset", "window_width", "rate_tol"},
-    ExperimentKind.CONTINUATION_PROBE: {"residual_tol"},
-    ExperimentKind.DISSIPATIVE_EQUIVALENCE: {"lambdas", "error_tol"},
-    ExperimentKind.INVARIANT_AUDIT: {
-        "energy_tol",
-        "mass_tol",
-        "discriminate_h2",
-        "expect_decreasing_energy",
-    },
-    ExperimentKind.MANUFACTURED_CONVERGENCE: {"dts", "error_tol", "order", "order_tol"},
-}
 
 
 @dataclass(frozen=True)
@@ -66,10 +43,10 @@ class Scenario:
     options: dict = field(default_factory=dict)
     output_dir: str | None = None
 
-    def sim_config(self, **overrides) -> SimConfig:
-        kw = dict(self.solver)
-        kw.update(overrides)
-        return SimConfig(self.grid, self.params, **kw)
+    def sim_config(self, lam: float | None = None, **overrides) -> SimConfig:
+        """The scenario's solver settings, with a damping rate or any of them replaced."""
+        params = self.params if lam is None else replace(self.params, lam=lam)
+        return SimConfig(self.grid, params, **{**self.solver, **overrides})
 
     def echo(self) -> dict:
         """Plain-data copy of the configuration for run metadata."""
@@ -116,6 +93,30 @@ def _number(mapping: dict, key: str, where: str, default=None, minimum=None):
         raise ScenarioError(f"{where}.{key} must be a number, got {v!r}")
     if minimum is not None and v < minimum:
         raise ScenarioError(f"{where}.{key} must be >= {minimum}, got {v}")
+    return float(v)
+
+
+def _option(name: str, opt: Option, v):
+    """The validated value of one option, as the runner reads it."""
+    where = f"options.{name}"
+    if opt.type is bool:
+        if not isinstance(v, bool):
+            raise ScenarioError(f"{where} must be true or false, got {v!r}")
+        return v
+    if opt.type is list:
+        if not isinstance(v, list) or not v:
+            raise ScenarioError(f"{where} must be a nonempty list of numbers, got {v!r}")
+        return [_bounded(f"{where}[{i}]", opt, x) for i, x in enumerate(v)]
+    return _bounded(where, opt, v)
+
+
+def _bounded(where: str, opt: Option, v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {v!r}")
+    if opt.low is not None and not v > opt.low:
+        raise ScenarioError(f"{where} must be > {opt.low:g}, got {v}")
+    if opt.high is not None and not v < opt.high:
+        raise ScenarioError(f"{where} must be < {opt.high:g}, got {v}")
     return float(v)
 
 
@@ -180,27 +181,22 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
         "blowup_guard": _number(ssec, "blowup_guard", "solver", default=1e3, minimum=1e-15),
     }
 
-    options = dict(_require_mapping(doc.get("options", {}), "options"))
-    _reject_unknown(options, _OPTION_KEYS[kind], "options")
+    spec = KINDS[kind]
+    given = _require_mapping(doc.get("options", {}), "options")
+    _reject_unknown(given, set(spec.options), "options")
+    options = {}
+    for key, opt in spec.options.items():
+        default = opt.default(solver) if callable(opt.default) else opt.default
+        options[key] = _option(key, opt, given.get(key, default))
 
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError("output_dir must be a string path")
 
-    if kind is ExperimentKind.DISSIPATIVE_EQUIVALENCE:
-        if params.omega != 0.0 or params.gamma != 0.0:
-            raise ScenarioError(
-                "DissipativeEquivalence requires omega = gamma = 0 (the exponential "
-                "rescaling is exact only for the drift-free member of the family)"
-            )
-    if kind is ExperimentKind.CONTINUATION_PROBE:
-        if abs(params.gamma + 2.0 * params.omega) > 1e-12:
-            raise ScenarioError("ContinuationProbe requires gamma = -2 omega")
-    if (
-        kind is ExperimentKind.MANUFACTURED_CONVERGENCE
-        and grid.kind is not GridKind.PERIODIC
-    ):
-        raise ScenarioError("ManufacturedConvergence runs on periodic grids")
+    if spec.grid is not None and grid.kind is not spec.grid:
+        raise ScenarioError(f"{kind.value} runs on {spec.grid.value} grids")
+    if spec.params is not None and not spec.params[0](params):
+        raise ScenarioError(spec.params[1])
 
     return Scenario(name, kind, grid, params, initial, solver, options, output_dir)
 

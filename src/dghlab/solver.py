@@ -12,7 +12,7 @@ For ``gamma = -2 omega`` this reduces to the advective form
 
 The weakly dissipative variant adds a damping ``lambda * (u - u_xx)`` to the
 momentum balance, i.e. simply ``-lambda * u`` after inverting the Helmholtz
-operator.
+operator; the one right-hand side applies it whenever ``lambda > 0``.
 
 Quadratic products on periodic grids are dealiased with the 2/3 rule.  Time
 integration is the classical four-stage Runge-Kutta scheme with a gradient
@@ -29,18 +29,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Field, Grid, NonFiniteFieldError, derivative
-from .helmholtz import KernelSpec, apply_lambda2, dx_invert_lambda2
+from .helmholtz import dx_invert_lambda2
 
 __all__ = [
     "CflWarning",
     "ManufacturedSolution",
-    "NonFiniteError",
     "PhysParams",
     "SimConfig",
     "Termination",
     "Trajectory",
     "manufactured_forcing",
-    "rhs_dissipative",
     "rhs_nonlocal",
     "simulate",
     "step_rk4",
@@ -49,10 +47,6 @@ __all__ = [
 
 class CflWarning(UserWarning):
     """Time step exceeds the advisory CFL bound (run continues)."""
-
-
-# Raised by Field construction when a step produces NaN/Inf values.
-NonFiniteError = NonFiniteFieldError
 
 
 @dataclass(frozen=True)
@@ -141,18 +135,8 @@ def _dealias(grid: Grid, vals: np.ndarray) -> np.ndarray:
     return np.fft.irfft(coef, n=grid.n)
 
 
-def rhs_nonlocal(
-    u: Field,
-    p: PhysParams,
-    spec: KernelSpec | None = None,
-    return_momentum: bool = False,
-):
-    """Conservative time derivative of u in the nonlocal form.
-
-    The dissipation rate in ``p`` is ignored here.  With ``return_momentum``
-    the momentum ``u - u_xx`` is returned alongside for consumers that track
-    it.
-    """
+def rhs_nonlocal(u: Field, p: PhysParams) -> Field:
+    """Time derivative of u in the nonlocal form, damped by lam * u when lam > 0."""
     grid = u.grid
     ux = derivative(u, 1)
     if grid.is_periodic:
@@ -162,23 +146,11 @@ def rhs_nonlocal(
         advect = u.values * ux.values
         quad = u.values**2 + 0.5 * ux.values**2
     arg = Field(grid, quad + (2.0 * p.omega + p.gamma) * u.values)
-    nonlocal_term = dx_invert_lambda2(arg, spec)
-    du = Field(grid, -advect + p.gamma * ux.values - nonlocal_term.values)
-    if return_momentum:
-        return du, apply_lambda2(u)
-    return du
-
-
-def rhs_dissipative(
-    u: Field,
-    p: PhysParams,
-    spec: KernelSpec | None = None,
-):
-    """Weakly dissipative time derivative: the conservative part minus lam * u."""
-    du = rhs_nonlocal(u, p, spec)
-    if p.lam == 0.0:
-        return du
-    return Field(u.grid, du.values - p.lam * u.values)
+    nonlocal_term = dx_invert_lambda2(arg)
+    du = -advect + p.gamma * ux.values - nonlocal_term.values
+    if p.lam > 0:
+        du = du - p.lam * u.values
+    return Field(grid, du)
 
 
 RhsFn = Callable[[float, Field], Field]
@@ -219,17 +191,10 @@ def _check_cfl(config: SimConfig, u0: Field) -> None:
 ForcingFn = Callable[[float], np.ndarray]
 
 
-def simulate(
-    config: SimConfig,
-    u0: Field,
-    forcing: ForcingFn | None = None,
-    rhs: RhsFn | None = None,
-) -> Trajectory:
+def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> Trajectory:
     """Integrate from u0 to t_end, or stop early on a gradient guard / NaN.
 
-    The right-hand side defaults to the dissipative form when the
-    configuration carries a positive dissipation rate and to the conservative
-    form otherwise.  ``forcing(t)`` values, when given, are added to du/dt.
+    ``forcing(t)`` values, when given, are added to du/dt.
     """
     if u0.grid != config.grid:
         raise ValueError("initial data lives on a different grid than the config")
@@ -240,17 +205,10 @@ def simulate(
         raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
 
     p = config.params
-    if rhs is None:
-        if p.lam > 0:
-            base = lambda t, u: rhs_dissipative(u, p)
-        else:
-            base = lambda t, u: rhs_nonlocal(u, p)
-    else:
-        base = rhs
     if forcing is None:
-        rhs_t = base
+        rhs_t = lambda t, u: rhs_nonlocal(u, p)
     else:
-        rhs_t = lambda t, u: Field(u.grid, base(t, u).values + forcing(t))
+        rhs_t = lambda t, u: Field(u.grid, rhs_nonlocal(u, p).values + forcing(t))
 
     times = [0.0]
     snaps = [u0]
@@ -287,19 +245,6 @@ class ManufacturedSolution:
     u: Callable[[float, np.ndarray], np.ndarray]
     u_t: Callable[[float, np.ndarray], np.ndarray]
 
-    @classmethod
-    def from_sympy(cls, expr, t_symbol, x_symbol) -> "ManufacturedSolution":
-        import sympy
-
-        u_fn = sympy.lambdify((t_symbol, x_symbol), expr, modules="numpy")
-        ut_fn = sympy.lambdify(
-            (t_symbol, x_symbol), sympy.diff(expr, t_symbol), modules="numpy"
-        )
-        return cls(
-            u=lambda t, x: np.broadcast_to(u_fn(t, x), x.shape).astype(float),
-            u_t=lambda t, x: np.broadcast_to(ut_fn(t, x), x.shape).astype(float),
-        )
-
     def field(self, grid: Grid, t: float) -> Field:
         return Field(grid, self.u(t, grid.nodes))
 
@@ -309,8 +254,9 @@ def manufactured_forcing(
 ) -> ForcingFn:
     """Source term making ``exact`` an exact solution of the forced system.
 
-    The residual is evaluated with the same conservative right-hand side that
-    the solver steps, plus the analytic time derivative of the exact field.
+    The residual is evaluated with the same right-hand side that the solver
+    steps, damping included, plus the analytic time derivative of the exact
+    field.
     """
 
     def forcing(t: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -23,3 +24,33 @@ def run(cfg, u0, **kw) -> d.Trajectory:
         warnings.simplefilter("ignore", d.CflWarning)
         warnings.simplefilter("ignore", d.BoundaryDecayWarning)
         return d.simulate(cfg, u0, **kw)
+
+
+# -- periodic circulant convolution: the oracle for spectral division -------
+
+
+def _periodic_kernel_samples(grid, derivative_of_kernel: bool) -> np.ndarray:
+    z = grid.nodes - np.floor(grid.nodes) - 0.5
+    if derivative_of_kernel:
+        g = np.sinh(z) / (2.0 * math.sinh(0.5))
+        g[0] = 0.0  # jump at the kernel corner: take the two-sided average
+    else:
+        g = np.cosh(z) / (2.0 * math.sinh(0.5))
+    return g
+
+
+def _circular_convolve(grid, kernel: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    conv = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(vals), n=grid.n)
+    return grid.spacing * conv
+
+
+def invert_lambda2_direct(f: d.Field) -> d.Field:
+    """g * f on the circle by circulant convolution with the sampled kernel."""
+    g = _periodic_kernel_samples(f.grid, derivative_of_kernel=False)
+    return d.Field(f.grid, _circular_convolve(f.grid, g, f.values))
+
+
+def dx_invert_lambda2_direct(f: d.Field) -> d.Field:
+    """g' * f on the circle by circulant convolution with the sampled kernel."""
+    gp = _periodic_kernel_samples(f.grid, derivative_of_kernel=True)
+    return d.Field(f.grid, _circular_convolve(f.grid, gp, f.values))

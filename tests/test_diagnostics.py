@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import dghlab as d
 from dghlab import GridKind as GK
 
-from conftest import run
+from conftest import dx_invert_lambda2_direct, run
 
 
 # -- support detection --------------------------------------------------------
@@ -140,8 +140,8 @@ def test_probe_sine_closed_form_and_two_paths():
     u2 = d.Field.from_function(g2, lambda x: np.sin(2 * np.pi * x))
     ux2 = d.derivative(u2, 1)
     h2 = d.Field(g2, u2.values**2 + 0.5 * ux2.values**2)
-    spectral = d.dx_invert_lambda2(h2, d.KernelSpec(GK.PERIODIC, d.KernelMethod.SPECTRAL_DIVISION))
-    direct = d.dx_invert_lambda2(h2, d.KernelSpec(GK.PERIODIC, d.KernelMethod.DIRECT_CONVOLUTION))
+    spectral = d.dx_invert_lambda2(h2)
+    direct = dx_invert_lambda2_direct(h2)
     assert np.max(np.abs(spectral.values - direct.values)) < 1e-8
 
 

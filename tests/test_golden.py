@@ -1,0 +1,68 @@
+"""Golden numbers: every shipped config reproduces its recorded checks and results.
+
+``golden_configs.json`` holds, per file in ``configs/``, the checks (name,
+passed, value) and the ``results`` mapping that ``execute`` returned when the
+fixture was recorded.  A refactor that leaves the arithmetic alone reproduces
+them to rounding; anything else shows up here before it shows up as a failed
+threshold.  After a deliberate change of the numbers, rewrite the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change description why the numbers moved.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import warnings
+from pathlib import Path
+
+import pytest
+
+from dghlab.experiments import execute
+from dghlab.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+FIXTURE = Path(__file__).resolve().parent / "golden_configs.json"
+
+
+def observed(path: Path) -> dict:
+    """Checks and results of one config, as plain JSON data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = execute(load_scenario(path))
+    checks = [{"name": c.name, "passed": c.passed, "value": c.value} for c in result.checks]
+    return json.loads(json.dumps({"checks": checks, "results": result.metadata}))
+
+
+def assert_matches(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        assert isinstance(got, (int, float)), where
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-14), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want and type(got) is type(want), f"{where}: {got!r} != {want!r}"
+
+
+def test_fixture_covers_every_config():
+    assert sorted(json.loads(FIXTURE.read_text())) == [p.name for p in CONFIGS]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_config_reproduces_golden_numbers(path):
+    want = json.loads(FIXTURE.read_text())[path.name]
+    assert_matches(observed(path), want, path.stem)
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({p.name: observed(p) for p in CONFIGS}, indent=1) + "\n")
+    print(f"wrote {FIXTURE}")

@@ -12,10 +12,7 @@ from dghlab.helmholtz import (
     invert_lambda2_reference,
 )
 
-from conftest import band_limited
-
-SPECTRAL = d.KernelSpec(GK.PERIODIC, d.KernelMethod.SPECTRAL_DIVISION)
-DIRECT_P = d.KernelSpec(GK.PERIODIC, d.KernelMethod.DIRECT_CONVOLUTION)
+from conftest import band_limited, dx_invert_lambda2_direct, invert_lambda2_direct
 
 
 # -- kernel values -----------------------------------------------------------
@@ -83,8 +80,8 @@ def test_apply_lambda2_linearity_on_two_modes():
 def test_invert_constant_both_methods():
     g = d.make_grid(GK.PERIODIC, 512)
     one = d.Field.from_function(g, lambda x: np.ones_like(x))
-    assert np.max(np.abs(d.invert_lambda2(one, SPECTRAL).values - 1.0)) < 1e-13
-    assert np.max(np.abs(d.invert_lambda2(one, DIRECT_P).values - 1.0)) < 1e-6
+    assert np.max(np.abs(d.invert_lambda2(one).values - 1.0)) < 1e-13
+    assert np.max(np.abs(invert_lambda2_direct(one).values - 1.0)) < 1e-6
 
 
 def test_invert_eigenfunction():
@@ -229,16 +226,16 @@ def test_spectral_direct_agreement_band_limited():
     f = d.Field.from_function(
         g, lambda x: np.cos(2 * np.pi * 5 * x) + 0.3 * np.sin(2 * np.pi * 11 * x)
     )
-    a = d.invert_lambda2(f, SPECTRAL)
-    b = d.invert_lambda2(f, DIRECT_P)
+    a = d.invert_lambda2(f)
+    b = invert_lambda2_direct(f)
     assert np.max(np.abs(a.values - b.values)) < 1e-8
 
 
 def test_spectral_direct_agreement_dx():
     g = d.make_grid(GK.PERIODIC, 16384)
     f = d.Field.from_function(g, lambda x: np.cos(2 * np.pi * 3 * x))
-    a = d.dx_invert_lambda2(f, SPECTRAL)
-    b = d.dx_invert_lambda2(f, DIRECT_P)
+    a = d.dx_invert_lambda2(f)
+    b = dx_invert_lambda2_direct(f)
     assert np.max(np.abs(a.values - b.values)) < 1e-8
 
 
@@ -249,8 +246,8 @@ def test_fast_convolution_matches_slow_reference_periodic():
     g = d.make_grid(GK.PERIODIC, 128)
     rng = np.random.default_rng(3)
     f = d.Field(g, rng.normal(size=g.n))
-    assert np.max(np.abs(d.invert_lambda2(f, DIRECT_P).values - invert_lambda2_reference(f).values)) < 1e-13
-    assert np.max(np.abs(d.dx_invert_lambda2(f, DIRECT_P).values - dx_invert_lambda2_reference(f).values)) < 1e-13
+    assert np.max(np.abs(invert_lambda2_direct(f).values - invert_lambda2_reference(f).values)) < 1e-13
+    assert np.max(np.abs(dx_invert_lambda2_direct(f).values - dx_invert_lambda2_reference(f).values)) < 1e-13
 
 
 def test_line_recursion_agrees_with_sampled_kernel_reference():
@@ -261,15 +258,3 @@ def test_line_recursion_agrees_with_sampled_kernel_reference():
     fast = d.invert_lambda2(f)
     slow = invert_lambda2_reference(f)
     assert np.max(np.abs(fast.values - slow.values)) < 1e-4
-
-
-# -- kernel spec validation --------------------------------------------------
-
-
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        d.KernelSpec(GK.TRUNCATED_LINE, d.KernelMethod.SPECTRAL_DIVISION)
-    g = d.make_grid(GK.TRUNCATED_LINE, 64, 5.0)
-    f = d.Field.zeros(g)
-    with pytest.raises(ValueError):
-        d.invert_lambda2(f, SPECTRAL)  # spec kind does not match the grid

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import yaml
 
 import dghlab as d
 from dghlab.cli import describe, main, run_scenario
+from dghlab.experiments import KINDS
 from dghlab.scenario import ExperimentKind, ScenarioError, load_scenario, parse_scenario
 
 
@@ -76,6 +80,30 @@ def test_parse_rejects_bad_values():
     doc["grid"] = {"kind": "line", "n": 64}
     with pytest.raises(ScenarioError, match="half_width"):
         parse_scenario(doc)
+    doc = _base_doc(kind="TailFormation", options={"rate_tol": "0.05"})
+    doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}
+    with pytest.raises(ScenarioError, match="rate_tol must be a number"):
+        parse_scenario(doc)
+    doc = _base_doc(kind="InvariantAudit", options={"discriminate_h2": "no"})
+    with pytest.raises(ScenarioError, match="discriminate_h2 must be true or false"):
+        parse_scenario(doc)
+    doc = _base_doc(kind="DissipativeEquivalence", options={"lambdas": []})
+    doc["params"] = {"omega": 0.0, "gamma": 0.0}
+    with pytest.raises(ScenarioError, match="lambdas must be a nonempty list"):
+        parse_scenario(doc)
+    doc["options"] = {"lambdas": [0]}
+    with pytest.raises(ScenarioError, match=r"lambdas\[0\] must be > 0"):
+        parse_scenario(doc)
+
+
+def test_parse_fills_and_normalizes_options():
+    doc = _base_doc(kind="ManufacturedConvergence", options={"order": 4, "error_tol": 1e-7})
+    scn = parse_scenario(doc)
+    assert scn.options == {"dts": [2e-3, 1e-3], "error_tol": 1e-7, "order": 4.0, "order_tol": 0.2}
+    assert type(scn.options["order"]) is float
+    assert set(parse_scenario(_base_doc(kind="InvariantAudit")).options) == set(
+        KINDS[ExperimentKind.INVARIANT_AUDIT].options
+    )
 
 
 def test_parse_kind_specific_constraints():
@@ -90,6 +118,9 @@ def test_parse_kind_specific_constraints():
     doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}
     with pytest.raises(ScenarioError, match="periodic"):
         parse_scenario(doc)
+    for kind in ("SupportPropagation", "TailFormation"):
+        with pytest.raises(ScenarioError, match=f"{kind} runs on line grids"):
+            parse_scenario(_base_doc(kind=kind))
 
 
 def test_load_scenario_io_errors(tmp_path):
@@ -126,6 +157,17 @@ def test_describe_covers_every_kind():
     for kind in ExperimentKind:
         text = describe(kind.value)
         assert kind.value in text and len(text) > 80
+        for name in KINDS[kind].options:
+            assert f"  {name}: " in text
+
+
+def test_module_entry_point_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(d.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "dghlab.cli", "version"], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == d.__version__
 
 
 # -- CLI run: exit codes and artifacts ----------------------------------------
@@ -190,6 +232,7 @@ def test_run_failing_check_exit_one(tmp_path, capsys):
     assert rc == 1
     meta = json.loads((tmp_path / "out" / "impossible" / "metadata.json").read_text())
     assert meta["status"] == "check_failed"
+    assert meta["config"]["options"]["mass_tol"] == 1e-8  # defaults are echoed
     assert "FAIL energy_drift" in capsys.readouterr().out
 
 
@@ -270,3 +313,20 @@ def test_manufactured_scenario(tmp_path):
     assert run_scenario(cfg, output_root=str(tmp_path / "out")) == 0
     meta = json.loads((tmp_path / "out" / "mms" / "metadata.json").read_text())
     assert abs(meta["results"]["observed_order"] - 4.0) <= 0.2
+
+
+def test_manufactured_scenario_with_damping(tmp_path):
+    # the forcing must be built from the damped right-hand side that is stepped
+    doc = {
+        "name": "mms-damped",
+        "kind": "ManufacturedConvergence",
+        "grid": {"kind": "periodic", "n": 128},
+        "params": {"omega": 0.0, "gamma": 0.0, "lambda": 0.5},
+        "initial": {"family": "cosine", "amplitude": 1.0},
+        "solver": {"dt": 8.0e-4, "t_end": 0.096, "snapshot_stride": 12},
+        "options": {"dts": [1.6e-3, 8.0e-4]},
+    }
+    cfg = _write(tmp_path, doc)
+    assert run_scenario(cfg, output_root=str(tmp_path / "out")) == 0
+    meta = json.loads((tmp_path / "out" / "mms-damped" / "metadata.json").read_text())
+    assert all(c["passed"] for c in meta["checks"]) and len(meta["checks"]) == 2
