@@ -21,6 +21,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,7 +176,9 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> None:
+def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str, stacklevel: int = 3) -> None:
+    """Warn when values have not decayed at the boundary; ``stacklevel`` names
+    the frame the warning points at, counted from here (3: the caller's caller)."""
     peak = np.max(np.abs(values))
     if peak == 0.0:
         return
@@ -186,14 +189,33 @@ def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> None:
             f"{BOUNDARY_DECAY_RATIO:g} * max|f| = {BOUNDARY_DECAY_RATIO * peak:.3e}; "
             "truncated-line results may be polluted by the cut-off",
             BoundaryDecayWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+class _SpectralFactors(NamedTuple):
+    ik: np.ndarray  # 2 pi i k, the spectral d/dx
+    dealias: np.ndarray  # modes the 2/3 rule zeroes in quadratic products
+    helmholtz: np.ndarray  # 1 + 4 pi^2 k^2, the symbol of 1 - d^2/dx^2
+
+
+@lru_cache(maxsize=32)
+def _spectral_factors(grid: Grid) -> _SpectralFactors:
+    """Read-only Fourier multipliers of a periodic grid, computed once per grid."""
+    k = np.fft.rfftfreq(grid.n, d=grid.spacing)
+    factors = _SpectralFactors(
+        ik=2j * np.pi * k,
+        dealias=k > grid.n / 3.0,
+        helmholtz=1.0 + 4.0 * np.pi**2 * k**2,
+    )
+    for a in factors:
+        a.setflags(write=False)
+    return factors
 
 
 def _derivative_periodic(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     coef = np.fft.rfft(values)
-    k = 2j * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-    coef *= k**order
+    coef *= _spectral_factors(grid).ik ** order
     if order % 2 == 1 and grid.n % 2 == 0:
         coef[-1] = 0.0  # the Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(coef, n=grid.n)
@@ -264,10 +286,15 @@ def derivative(f: Field, order: int) -> Field:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-    if f.grid.is_periodic:
-        return Field(f.grid, _derivative_periodic(f.grid, f.values, order))
-    _check_boundary_decay(f.grid, f.values, "derivative")
-    return Field(f.grid, _derivative_line(f.grid, f.values, order))
+    return Field(f.grid, _derivative_values(f.grid, f.values, order))
+
+
+def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
+    """``derivative`` on plain node values: same checks, same arithmetic."""
+    if grid.is_periodic:
+        return _derivative_periodic(grid, values, order)
+    _check_boundary_decay(grid, values, "derivative", stacklevel=4)
+    return _derivative_line(grid, values, order)
 
 
 def integrate(f: Field) -> float:

@@ -33,7 +33,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from .grid import Field, Grid, GridKind, _check_boundary_decay, derivative
+from .grid import Field, Grid, GridKind, _check_boundary_decay, _spectral_factors, derivative
 
 __all__ = [
     "apply_lambda2",
@@ -63,18 +63,13 @@ def apply_lambda2(u: Field) -> Field:
 # -- periodic paths ---------------------------------------------------------
 
 
-def _helmholtz_multiplier(grid: Grid) -> np.ndarray:
-    k = np.fft.rfftfreq(grid.n, d=grid.spacing)
-    return 1.0 + 4.0 * np.pi**2 * k**2
-
-
 def _invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(np.fft.rfft(vals) / _helmholtz_multiplier(grid), n=grid.n)
+    return np.fft.irfft(np.fft.rfft(vals) / _spectral_factors(grid).helmholtz, n=grid.n)
 
 
 def _dx_invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    k = 2j * np.pi * np.fft.rfftfreq(grid.n, d=grid.spacing)
-    coef = np.fft.rfft(vals) * k / _helmholtz_multiplier(grid)
+    sf = _spectral_factors(grid)
+    coef = np.fft.rfft(vals) * sf.ik / sf.helmholtz
     if grid.n % 2 == 0:
         coef[-1] = 0.0
     return np.fft.irfft(coef, n=grid.n)
@@ -169,11 +164,16 @@ def invert_lambda2(f: Field) -> Field:
 
 def dx_invert_lambda2(f: Field) -> Field:
     """d/dx of the Green's-function convolution, i.e. convolution with g'."""
-    if f.grid.is_periodic:
-        return Field(f.grid, _dx_invert_periodic_spectral(f.grid, f.values))
-    _check_boundary_decay(f.grid, f.values, "dx_invert_lambda2")
-    P, Q = _line_exponential_parts(f.grid, f.values)
-    return Field(f.grid, 0.5 * (Q - P))
+    return Field(f.grid, _dx_invert_values(f.grid, f.values))
+
+
+def _dx_invert_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """``dx_invert_lambda2`` on plain node values: same checks, same arithmetic."""
+    if grid.is_periodic:
+        return _dx_invert_periodic_spectral(grid, vals)
+    _check_boundary_decay(grid, vals, "dx_invert_lambda2", stacklevel=4)
+    P, Q = _line_exponential_parts(grid, vals)
+    return 0.5 * (Q - P)
 
 
 # -- O(n^2) reference paths (oracle tests only) ------------------------------

@@ -16,7 +16,7 @@ import yaml
 
 from .experiments import KINDS, ExperimentKind, Option
 from .grid import Grid, GridKind, make_grid
-from .solver import PhysParams, SimConfig
+from .solver import PhysParams, SimConfig, step_count
 
 __all__ = ["ExperimentKind", "Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
@@ -188,6 +188,14 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
     for key, opt in spec.options.items():
         default = opt.default(solver) if callable(opt.default) else opt.default
         options[key] = _option(key, opt, given.get(key, default))
+
+    steps = {"solver.dt": solver["dt"]}
+    steps.update((f"options.dts[{i}]", dt) for i, dt in enumerate(options.get("dts", [])))
+    for where, dt in steps.items():
+        try:
+            step_count(solver["t_end"], dt)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
 
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

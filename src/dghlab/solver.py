@@ -17,19 +17,25 @@ operator; the one right-hand side applies it whenever ``lambda > 0``.
 Quadratic products on periodic grids are dealiased with the 2/3 rule.  Time
 integration is the classical four-stage Runge-Kutta scheme with a gradient
 guard that converts wave breaking into a measurable event.
+
+``simulate`` steps plain value arrays through one array right-hand side,
+which ``rhs_nonlocal`` wraps for Fields, with the same arithmetic.  Each
+step's result is checked once for NaN/Inf, and only recorded snapshots are
+built as validated Fields.  The gradient guard's u_x is reused as the next
+step's first-stage u_x.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .grid import Field, Grid, NonFiniteFieldError, derivative
-from .helmholtz import dx_invert_lambda2
+from .grid import Field, Grid, _derivative_values, _spectral_factors
+from .helmholtz import _dx_invert_values
 
 __all__ = [
     "CflWarning",
@@ -115,49 +121,43 @@ class Trajectory:
         """Snapshot values stacked into an array of shape (n_snapshots, n)."""
         return np.stack([s.values for s in self.snapshots])
 
-    def subsample(self, step: int) -> "Trajectory":
-        """Every step-th snapshot (the first one always included)."""
-        idx = list(range(0, len(self.snapshots), step))
-        if idx[-1] != len(self.snapshots) - 1:
-            idx.append(len(self.snapshots) - 1)
-        return replace(
-            self,
-            times=self.times[idx],
-            snapshots=tuple(self.snapshots[i] for i in idx),
-        )
 
-
-def _dealias(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Zero the top third of the spectrum (2/3 rule for quadratic products)."""
-    coef = np.fft.rfft(vals)
-    k = np.fft.rfftfreq(grid.n, d=grid.spacing)
-    coef[k > grid.n / 3.0] = 0.0
-    return np.fft.irfft(coef, n=grid.n)
+def _rhs(grid: Grid, u: np.ndarray, p: PhysParams, ux: np.ndarray | None = None) -> np.ndarray:
+    """The right-hand side on plain node values; ``ux``, when given, is u's d/dx."""
+    if ux is None:
+        ux = _derivative_values(grid, u, 1)
+    if grid.is_periodic:
+        dealias = _spectral_factors(grid).dealias
+        products = []
+        for prod in (u * ux, u**2 + 0.5 * ux**2):
+            coef = np.fft.rfft(prod)
+            coef[dealias] = 0.0
+            products.append(np.fft.irfft(coef, n=grid.n))
+        advect, quad = products
+    else:
+        advect = u * ux
+        quad = u**2 + 0.5 * ux**2
+    nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
+    du = -advect + p.gamma * ux - nonlocal_term
+    if p.lam > 0:
+        du = du - p.lam * u
+    return du
 
 
 def rhs_nonlocal(u: Field, p: PhysParams) -> Field:
     """Time derivative of u in the nonlocal form, damped by lam * u when lam > 0."""
-    grid = u.grid
-    ux = derivative(u, 1)
-    if grid.is_periodic:
-        advect = _dealias(grid, u.values * ux.values)
-        quad = _dealias(grid, u.values**2 + 0.5 * ux.values**2)
-    else:
-        advect = u.values * ux.values
-        quad = u.values**2 + 0.5 * ux.values**2
-    arg = Field(grid, quad + (2.0 * p.omega + p.gamma) * u.values)
-    nonlocal_term = dx_invert_lambda2(arg)
-    du = -advect + p.gamma * ux.values - nonlocal_term.values
-    if p.lam > 0:
-        du = du - p.lam * u.values
-    return Field(grid, du)
+    return Field(u.grid, _rhs(u.grid, u.values, p))
 
 
-RhsFn = Callable[[float, Field], Field]
+State = TypeVar("State", Field, np.ndarray)
 
 
-def step_rk4(u: Field, t: float, dt: float, rhs: RhsFn) -> Field:
-    """One classical Runge-Kutta step; parameters are bound into ``rhs(t, u)``."""
+def step_rk4(u: State, t: float, dt: float, rhs: Callable[[float, State], State]) -> State:
+    """One classical Runge-Kutta step; parameters are bound into ``rhs(t, u)``.
+
+    Only ``+`` and scalar ``*`` touch the state, so it may be a Field or the
+    plain value array that ``simulate`` steps.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     k1 = rhs(t, u)
@@ -191,6 +191,14 @@ def _check_cfl(config: SimConfig, u0: Field) -> None:
 ForcingFn = Callable[[float], np.ndarray]
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of dt steps from 0 to t_end; ValueError unless it is a whole number."""
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
+    return n_steps
+
+
 def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> Trajectory:
     """Integrate from u0 to t_end, or stop early on a gradient guard / NaN.
 
@@ -199,40 +207,35 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
     if u0.grid != config.grid:
         raise ValueError("initial data lives on a different grid than the config")
     _check_cfl(config, u0)
-    dt, t_end = config.dt, config.t_end
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
+    grid, p, dt = config.grid, config.params, config.dt
+    n_steps = step_count(config.t_end, dt)
 
-    p = config.params
-    if forcing is None:
-        rhs_t = lambda t, u: rhs_nonlocal(u, p)
-    else:
-        rhs_t = lambda t, u: Field(u.grid, rhs_nonlocal(u, p).values + forcing(t))
+    def rhs_t(t: float, v: np.ndarray) -> np.ndarray:
+        # Stage 1 starts from the state u whose u_x the gradient guard just took.
+        du = _rhs(grid, v, p, ux if v is u else None)
+        return du if forcing is None else du + forcing(t)
 
     times = [0.0]
     snaps = [u0]
     termination = Termination.COMPLETED
     guard_time = None
-    u = u0
+    u, ux = u0.values, None
     for step in range(1, n_steps + 1):
-        t_prev = (step - 1) * dt
-        try:
-            u = step_rk4(u, t_prev, dt, rhs_t)
-        except NonFiniteFieldError:
-            # Field validation caught NaN/Inf: keep the finite prefix.
+        u = step_rk4(u, (step - 1) * dt, dt, rhs_t)
+        if not np.all(np.isfinite(u)):
+            # NaN/Inf in any stage reaches u: keep the finite prefix.
             termination = Termination.NON_FINITE
             break
         t_now = step * dt
         record = step % config.snapshot_stride == 0 or step == n_steps
-        gmax = derivative(u, 1).max_abs()
-        if gmax > config.blowup_guard:
+        ux = _derivative_values(grid, u, 1)
+        if np.max(np.abs(ux)) > config.blowup_guard:
             termination = Termination.BLOWUP_GUARD
             guard_time = t_now
             record = True
         if record:
             times.append(t_now)
-            snaps.append(u)
+            snaps.append(Field(grid, u))
         if termination is Termination.BLOWUP_GUARD:
             break
     return Trajectory(config, np.asarray(times), tuple(snaps), termination, guard_time)
@@ -256,11 +259,23 @@ def manufactured_forcing(
 
     The residual is evaluated with the same right-hand side that the solver
     steps, damping included, plus the analytic time derivative of the exact
-    field.
+    field.  The values at the last two times asked for are kept and returned
+    read-only, so a repeated stage time costs no second evaluation.
     """
 
+    # RK4 asks for each half-step time twice and ends a step at the time the
+    # next one starts with, so the last two times cover every repeat.
+    memo: dict[float, np.ndarray] = {}
+
     def forcing(t: float) -> np.ndarray:
-        u_star = exact.field(grid, t)
-        return exact.u_t(t, grid.nodes) - rhs_nonlocal(u_star, p).values
+        values = memo.get(t)
+        if values is None:
+            u_star = exact.field(grid, t)
+            values = exact.u_t(t, grid.nodes) - rhs_nonlocal(u_star, p).values
+            values.setflags(write=False)
+            if len(memo) == 2:
+                del memo[next(iter(memo))]
+            memo[t] = values
+        return values
 
     return forcing

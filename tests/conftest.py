@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +25,18 @@ def run(cfg, u0, **kw) -> d.Trajectory:
         warnings.simplefilter("ignore", d.CflWarning)
         warnings.simplefilter("ignore", d.BoundaryDecayWarning)
         return d.simulate(cfg, u0, **kw)
+
+
+def subsample(traj: d.Trajectory, step: int) -> d.Trajectory:
+    """Every step-th snapshot of traj (the first and the last always included)."""
+    idx = list(range(0, len(traj.snapshots), step))
+    if idx[-1] != len(traj.snapshots) - 1:
+        idx.append(len(traj.snapshots) - 1)
+    return replace(
+        traj,
+        times=traj.times[idx],
+        snapshots=tuple(traj.snapshots[i] for i in idx),
+    )
 
 
 # -- periodic circulant convolution: the oracle for spectral division -------

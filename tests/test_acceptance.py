@@ -17,7 +17,13 @@ from dghlab import diagnostics
 from dghlab.experiments import execute
 from dghlab.scenario import parse_scenario
 
-from conftest import band_limited, dx_invert_lambda2_direct, invert_lambda2_direct, run
+from conftest import (
+    band_limited,
+    dx_invert_lambda2_direct,
+    invert_lambda2_direct,
+    run,
+    subsample,
+)
 
 N_REF = 512
 DT_REF = 1e-3
@@ -198,7 +204,7 @@ def test_criterion_04_transport_identity(ref_run_, ref_params):
     fine = d.transport_residual(
         ref_run_, d.evolve_characteristics(ref_run_, seeds), ref_params
     )
-    coarse_traj = ref_run_.subsample(2)
+    coarse_traj = subsample(ref_run_, 2)
     coarse = d.transport_residual(
         coarse_traj, d.evolve_characteristics(coarse_traj, seeds), ref_params
     )

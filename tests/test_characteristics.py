@@ -4,7 +4,7 @@ import pytest
 import dghlab as d
 from dghlab import GridKind as GK
 
-from conftest import run
+from conftest import run, subsample
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_transport_residual_small_and_shrinking(cosine_run):
     traj, p = cosine_run
     seeds = np.linspace(0.0, 1.0, 32, endpoint=False)
     fine = d.transport_residual(traj, d.evolve_characteristics(traj, seeds), p)
-    coarse_traj = traj.subsample(2)
+    coarse_traj = subsample(traj, 2)
     coarse = d.transport_residual(
         coarse_traj, d.evolve_characteristics(coarse_traj, seeds), p
     )
@@ -110,7 +110,7 @@ def test_transport_residual_small_and_shrinking(cosine_run):
 
 def test_transport_residual_rejects_foreign_paths(cosine_run):
     traj, p = cosine_run
-    other = traj.subsample(2)
+    other = subsample(traj, 2)
     paths = d.evolve_characteristics(other, [0.1])
     with pytest.raises(ValueError):
         d.transport_residual(traj, paths, p)

@@ -94,6 +94,14 @@ def test_parse_rejects_bad_values():
     doc["options"] = {"lambdas": [0]}
     with pytest.raises(ScenarioError, match=r"lambdas\[0\] must be > 0"):
         parse_scenario(doc)
+    doc = _base_doc()
+    doc["solver"]["t_end"] = 0.0505
+    with pytest.raises(ScenarioError, match="solver.dt: t_end = 0.0505 is not an integer"):
+        parse_scenario(doc)
+    doc = _base_doc(kind="ManufacturedConvergence", options={"dts": [1.6e-3, 7.0e-4]})
+    doc["solver"]["t_end"] = 0.096
+    with pytest.raises(ScenarioError, match=r"options.dts\[1\]: t_end = 0.096 is not an integer"):
+        parse_scenario(doc)
 
 
 def test_parse_fills_and_normalizes_options():

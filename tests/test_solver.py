@@ -8,7 +8,7 @@ import pytest
 import dghlab as d
 from dghlab import GridKind as GK
 
-from conftest import band_limited, run
+from conftest import band_limited, run, subsample
 
 
 @pytest.fixture
@@ -230,6 +230,29 @@ def test_simulate_flags_nonfinite_and_keeps_prefix(pgrid):
     assert all(np.all(np.isfinite(s.values)) for s in traj.snapshots)
 
 
+def test_simulate_flags_nonfinite_at_a_half_step(pgrid):
+    # NaN enters only through the two midpoint stages and must still stop the run
+    p = d.PhysParams(0.0, 0.0)
+    dt = 5e-4
+    cfg = d.SimConfig(pgrid, p, dt=dt, t_end=0.1, snapshot_stride=10)
+    u0 = d.Field.from_function(pgrid, lambda x: 0.01 * np.cos(2 * np.pi * x))
+    poisoned = []
+
+    def poison(t):
+        out = np.zeros(pgrid.n)
+        steps = t / dt
+        if t > 0.05 and abs(steps - round(steps)) > 0.25:
+            out[0] = np.nan
+            poisoned.append(t)
+        return out
+
+    traj = d.simulate(cfg, u0, forcing=poison)
+    assert poisoned
+    assert traj.termination is d.Termination.NON_FINITE
+    assert traj.times[-1] <= 0.06
+    assert all(np.all(np.isfinite(s.values)) for s in traj.snapshots)
+
+
 def test_simulate_blowup_guard_hits_in_finite_time():
     # a steep bump steepens and breaks; the guard converts that into an event
     g = d.make_grid(GK.TRUNCATED_LINE, 512, 8.0)
@@ -256,11 +279,86 @@ def test_simulate_is_deterministic(pgrid):
     )
 
 
+def _dealias_reference(grid, vals):
+    coef = np.fft.rfft(vals)
+    k = np.fft.rfftfreq(grid.n, d=grid.spacing)
+    coef[k > grid.n / 3.0] = 0.0
+    return np.fft.irfft(coef, n=grid.n)
+
+
+def _rhs_reference(u, p):
+    """The right-hand side in Field arithmetic, operation for operation as rhs_nonlocal."""
+    grid = u.grid
+    ux = d.derivative(u, 1)
+    if grid.is_periodic:
+        advect = _dealias_reference(grid, u.values * ux.values)
+        quad = _dealias_reference(grid, u.values**2 + 0.5 * ux.values**2)
+    else:
+        advect = u.values * ux.values
+        quad = u.values**2 + 0.5 * ux.values**2
+    arg = d.Field(grid, quad + (2.0 * p.omega + p.gamma) * u.values)
+    du = -advect + p.gamma * ux.values - d.dx_invert_lambda2(arg).values
+    if p.lam > 0:
+        du = du - p.lam * u.values
+    return d.Field(grid, du)
+
+
+def _reference_snapshots(cfg, u0, forcing=None):
+    """simulate's snapshots from a plain loop of step_rk4 over Fields."""
+    p = cfg.params
+    if forcing is None:
+        rhs = lambda t, u: _rhs_reference(u, p)
+    else:
+        rhs = lambda t, u: d.Field(u.grid, _rhs_reference(u, p).values + forcing(t))
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    u, snaps = u0, [u0]
+    for step in range(1, n_steps + 1):
+        u = d.step_rk4(u, (step - 1) * cfg.dt, cfg.dt, rhs)
+        if step % cfg.snapshot_stride == 0 or step == n_steps:
+            snaps.append(u)
+    return snaps
+
+
+def _bitwise_cases():
+    """(config, u0, forcing given to simulate, forcing given to the reference loop)."""
+    g = d.make_grid(GK.PERIODIC, 256)
+    cosine = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    for lam in (0.0, 0.5):
+        p = d.PhysParams(0.1, -0.2, lam=lam)
+        yield d.SimConfig(g, p, dt=1e-3, t_end=0.06, snapshot_stride=7), cosine, None, None
+    line = d.make_grid(GK.TRUNCATED_LINE, 512, 20.0)
+    bump = d.make_profile(line, "bump", space="m", amplitude=1.0, center=0.0, width=1.0)
+    p = d.PhysParams(0.0, 0.0)
+    yield d.SimConfig(line, p, dt=2e-3, t_end=0.1, snapshot_stride=9), bump, None, None
+    g = d.make_grid(GK.PERIODIC, 128)
+    exact = _decaying_sine()
+    p = d.PhysParams(0.1, -0.3, lam=0.2)
+
+    def fresh_forcing(t):
+        # the manufactured source evaluated anew at every call, no memo
+        return exact.u_t(t, g.nodes) - _rhs_reference(exact.field(g, t), p).values
+
+    cfg = d.SimConfig(g, p, dt=1.2e-3, t_end=0.096, snapshot_stride=11)
+    yield cfg, exact.field(g, 0.0), d.manufactured_forcing(exact, p, g), fresh_forcing
+
+
+def test_simulate_is_bitwise_equal_to_field_loop():
+    for cfg, u0, forcing, ref_forcing in _bitwise_cases():
+        assert np.array_equal(
+            d.rhs_nonlocal(u0, cfg.params).values, _rhs_reference(u0, cfg.params).values
+        )
+        traj = d.simulate(cfg, u0, forcing=forcing)
+        ref = _reference_snapshots(cfg, u0, ref_forcing)
+        assert traj.termination is d.Termination.COMPLETED
+        assert len(traj.snapshots) == len(ref)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(traj.snapshots, ref))
+
+
 def test_trajectory_subsample(pgrid):
     p = d.PhysParams(0.0, 0.0)
     cfg = d.SimConfig(pgrid, p, dt=5e-4, t_end=0.02, snapshot_stride=2)
     traj = d.simulate(cfg, d.Field.zeros(pgrid))
-    sub = traj.subsample(2)
+    sub = subsample(traj, 2)
     assert sub.times[0] == 0.0 and sub.times[-1] == traj.times[-1]
     assert len(sub.snapshots) < len(traj.snapshots)
 
@@ -285,6 +383,32 @@ def _decaying_sine():
         u=lambda t, x: math.exp(-t) * np.sin(2 * np.pi * x),
         u_t=lambda t, x: -math.exp(-t) * np.sin(2 * np.pi * x),
     )
+
+
+def test_manufactured_forcing_memo(monkeypatch):
+    g = d.make_grid(GK.PERIODIC, 128)
+    p = d.PhysParams(0.1, -0.3)
+    exact = _decaying_sine()
+    forcing = d.manufactured_forcing(exact, p, g)
+    fresh = d.manufactured_forcing(exact, p, g)
+    for t in (0.0, 0.2, 0.2, 0.1):
+        cached = forcing(t)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+        assert np.array_equal(cached, fresh(t))
+    assert np.array_equal(forcing(0.2), fresh(0.2))
+
+    rhs_calls = []
+    rhs = d.solver.rhs_nonlocal
+    monkeypatch.setattr(d.solver, "rhs_nonlocal", lambda u, p: rhs_calls.append(1) or rhs(u, p))
+    forcing = d.manufactured_forcing(exact, p, g)
+    forcing_calls = []
+    counted = lambda t: forcing_calls.append(t) or forcing(t)
+    cfg = d.SimConfig(g, p, dt=1.2e-3, t_end=0.12, snapshot_stride=100)
+    d.simulate(cfg, exact.field(g, 0.0), forcing=counted)
+    assert len(forcing_calls) == 4 * 100
+    assert len(rhs_calls) <= 3 * 100
 
 
 def test_manufactured_solution_reproduced():
