@@ -26,7 +26,6 @@ from .diagnostics import (
 )
 from .dissipative import (
     EquivalenceReport,
-    TransformSpec,
     equivalence_report,
     map_solution,
     to_conservative_time,
@@ -93,7 +92,6 @@ __all__ = [
     "SupportReport",
     "Termination",
     "Trajectory",
-    "TransformSpec",
     "TransportResidual",
     "apply_lambda2",
     "continuation_probe",

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .grid import Field, derivative
 from .helmholtz import apply_lambda2
-from .solver import PhysParams, Trajectory
+from .solver import PhysParams, Trajectory, step_rk4
 
 __all__ = [
     "CharacteristicPaths",
@@ -72,9 +72,6 @@ class _SnapshotInterpolant:
     def _reduce(self, q: np.ndarray) -> np.ndarray:
         return np.mod(q, 1.0) if self._periodic else q
 
-    def at(self, k: int, q: np.ndarray) -> np.ndarray:
-        return self._splines[k](self._reduce(q))
-
     def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
         qr = self._reduce(q)
         if theta == 0.0:
@@ -104,20 +101,15 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
     active = np.ones(n_s, dtype=bool)
     for k in range(n_t - 1):
         dt = traj.times[k + 1] - traj.times[k]
-        qa, wa = q[k, active], w[k, active]
 
-        def rate(theta: float, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return u_itp.blend(k, theta, pos) - gamma, ux_itp.blend(k, theta, pos)
+        def rate(t: float, qw: np.ndarray) -> np.ndarray:
+            # (q, log q_x)' = (u - gamma, u_x) at the blend t / dt of snapshots k, k+1
+            theta, pos = t / dt, qw[0]
+            return np.array((u_itp.blend(k, theta, pos) - gamma, ux_itp.blend(k, theta, pos)))
 
-        dq1, dw1 = rate(0.0, qa)
-        dq2, dw2 = rate(0.5, qa + 0.5 * dt * dq1)
-        dq3, dw3 = rate(0.5, qa + 0.5 * dt * dq2)
-        dq4, dw4 = rate(1.0, qa + dt * dq3)
-        qn = qa + (dt / 6.0) * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4)
-        wn = wa + (dt / 6.0) * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-
-        q[k + 1, active] = qn
-        w[k + 1, active] = wn
+        q[k + 1, active], w[k + 1, active] = step_rk4(
+            np.array((q[k, active], w[k, active])), 0.0, dt, rate
+        )
         if not grid.is_periodic:
             out = (q[k + 1] < u_itp.x_lo) | (q[k + 1] > u_itp.x_hi)
             newly = out & active
@@ -155,13 +147,13 @@ def transport_residual(
     c = p.omega + 0.5 * p.gamma
     m_fields = [apply_lambda2(f) for f in traj.snapshots]
     m_itp = _SnapshotInterpolant(traj, m_fields)
-    m0_at_seeds = m_itp.at(0, paths.seeds)
+    m0_at_seeds = m_itp.blend(0, 0.0, paths.seeds)
 
     n_t = len(traj.times)
     res = np.full_like(paths.q, np.nan)
     for k in range(n_t):
         valid = paths.exit_index > k
-        mq = m_itp.at(k, paths.q[k, valid])
+        mq = m_itp.blend(k, 0.0, paths.q[k, valid])
         res[k, valid] = (m0_at_seeds[valid] + c) - (mq + c) * paths.qx[k, valid] ** 2
     max_abs = np.nanmax(np.abs(res), axis=1)
     return TransportResidual(traj.times.copy(), res, max_abs)

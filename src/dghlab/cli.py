@@ -7,8 +7,11 @@ Verbs:
     dghlab version               print the package version
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 invalid
-configuration; 3 numerical failure (partial artifacts are kept).  The output
-root defaults to ./runs and can be overridden with DGHLAB_OUTPUT_ROOT.
+configuration, found before anything runs; 3 numerical failure (partial
+artifacts are kept); 4 an unexpected error, whose traceback goes to stderr
+and to metadata.json.  Config numbers must be finite, and the keys of the
+``initial`` section are the parameters of its family.  The output root
+defaults to ./runs and can be overridden with DGHLAB_OUTPUT_ROOT.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .artifacts import write_metadata, write_series_csv, write_snapshot_csv, wri
 from .experiments import KINDS, ExperimentKind, ExperimentResult, Option, execute
 from .grid import NonFiniteFieldError
 from .helmholtz import apply_lambda2
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, _member, load_scenario
 
 __all__ = ["describe", "entrypoint", "list_kinds", "main", "run_scenario"]
 
@@ -41,13 +44,7 @@ def list_kinds() -> str:
 
 
 def describe(kind_name: str) -> str:
-    try:
-        kind = ExperimentKind(kind_name)
-    except ValueError:
-        raise ScenarioError(
-            f"unknown experiment kind {kind_name!r}; choose from "
-            f"{[k.value for k in ExperimentKind]}"
-        ) from None
+    kind = _member(ExperimentKind, kind_name, "kind")
     spec = KINDS[kind]
     lines = [kind.value, "", spec.description]
     if spec.options:
@@ -115,24 +112,18 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
     payload = {"config": scn.echo(), "version": __version__, "status": "started"}
     try:
         result = execute(scn)
+        written = _write_artifacts(scn, result, outdir)
     except (NonFiniteFieldError, FloatingPointError, OverflowError) as exc:
         payload.update(status="numerical_failure", error=str(exc))
         write_metadata(meta_path, payload)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, ValueError) as exc:
-        # configuration-induced rejections (unknown options, CFL gate,
-        # misaligned t_end) surface as invalid-config exits
-        payload.update(status="invalid", error=str(exc))
-        write_metadata(meta_path, payload)
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # keep the metadata trail even for unexpected bugs
+    except Exception as exc:  # a bug: keep the metadata trail and say so
         payload.update(status="error", error=repr(exc), trace=traceback.format_exc())
         write_metadata(meta_path, payload)
-        raise
+        print(payload["trace"], end="", file=sys.stderr)
+        return 4
 
-    written = _write_artifacts(scn, result, outdir)
     status = "ok" if result.all_passed else "check_failed"
     if result.numerical_failure:
         status = "numerical_failure"
@@ -157,6 +148,7 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
         print(c.line())
     print(f"artifacts: {outdir}")
     if result.numerical_failure:
+        print("numerical failure: the run went non-finite", file=sys.stderr)
         return 3
     return 0 if result.all_passed else 1
 

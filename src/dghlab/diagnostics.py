@@ -40,10 +40,6 @@ __all__ = [
     "vanishing_rectangle",
 ]
 
-# Default relative support threshold: spectral floor over max|f|.
-SUPPORT_THRESHOLD_REL = 1e-10
-
-
 @dataclass(frozen=True)
 class SupportReport:
     """Detected support interval of a field, or None when below threshold."""

@@ -26,32 +26,12 @@ from .solver import Trajectory
 
 __all__ = [
     "EquivalenceReport",
-    "TransformSpec",
     "equivalence_report",
     "map_solution",
     "to_conservative_time",
 ]
 
 _SMALL_LAMBDA = 1e-8
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """Damping rate and dissipative-time horizon of one transform application."""
-
-    lam: float
-    t_max: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("the transform needs a positive damping rate")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-
-    @property
-    def tau_max(self) -> float:
-        """Conservative horizon; strictly below 1/lam."""
-        return float(to_conservative_time(self.t_max, self.lam))
 
 
 def to_conservative_time(t, lam: float):

@@ -22,8 +22,7 @@ node into the two exponential one-sided parts
 so that ``g*f = (P + Q)/2`` and ``(g*f)' = (Q - P)/2`` exactly.  P and Q obey
 one-step recurrences with decaying coefficients, and each panel integral is
 computed exactly against a local cubic interpolant of f, giving a stable
-O(n) scheme with fourth-order accuracy.  An O(n^2) sampled-kernel reference
-path is retained for oracle tests.
+O(n) scheme with fourth-order accuracy.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ from .grid import Field, Grid, GridKind, _check_boundary_decay, _spectral_factor
 __all__ = [
     "apply_lambda2",
     "dx_invert_lambda2",
-    "dx_invert_lambda2_reference",
     "green_kernel",
     "invert_lambda2",
-    "invert_lambda2_reference",
 ]
 
 
@@ -174,35 +171,3 @@ def _dx_invert_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
     _check_boundary_decay(grid, vals, "dx_invert_lambda2", stacklevel=4)
     P, Q = _line_exponential_parts(grid, vals)
     return 0.5 * (Q - P)
-
-
-# -- O(n^2) reference paths (oracle tests only) ------------------------------
-
-
-def invert_lambda2_reference(f: Field) -> Field:
-    """Slow sampled-kernel quadrature of g * f (second-order accurate)."""
-    x = f.grid.nodes
-    out = np.empty(f.grid.n)
-    for i in range(f.grid.n):
-        if f.grid.is_periodic:
-            g = green_kernel(GridKind.PERIODIC, x[i] - x)
-        else:
-            g = green_kernel(GridKind.TRUNCATED_LINE, x[i] - x)
-        out[i] = f.grid.spacing * np.dot(g, f.values)
-    return Field(f.grid, out)
-
-
-def dx_invert_lambda2_reference(f: Field) -> Field:
-    """Slow sampled-kernel quadrature of g' * f (second-order accurate)."""
-    x = f.grid.nodes
-    out = np.empty(f.grid.n)
-    for i in range(f.grid.n):
-        d = x[i] - x
-        if f.grid.is_periodic:
-            z = d - np.floor(d) - 0.5
-            gp = np.sinh(z) / (2.0 * math.sinh(0.5))
-            gp[i] = 0.0
-        else:
-            gp = -np.sign(d) * 0.5 * np.exp(-np.abs(d))
-        out[i] = f.grid.spacing * np.dot(gp, f.values)
-    return Field(f.grid, out)

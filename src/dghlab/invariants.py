@@ -109,18 +109,18 @@ class H2Discrimination:
     drifts_fine: dict[H2Variant, float]
 
 
+SHRINK_FACTOR = 6.0
+STALL_FACTOR = 2.0
+
+
 def discriminate_h2(
-    traj_coarse: Trajectory,
-    traj_fine: Trajectory,
-    p: PhysParams,
-    shrink_factor: float = 6.0,
-    stall_factor: float = 2.0,
+    traj_coarse: Trajectory, traj_fine: Trajectory, p: PhysParams
 ) -> H2Discrimination:
     """Decide which cubic variant is conserved from two time resolutions.
 
     A variant counts as conserved when its drift shrinks by at least
-    ``shrink_factor`` under the refinement while the other variant's drift
-    stays within ``stall_factor`` of its coarse value.  Returns ``None`` for
+    ``SHRINK_FACTOR`` under the refinement while the other variant's drift
+    stays within ``STALL_FACTOR`` of its coarse value.  Returns ``None`` for
     the conserved variant when the evidence is not clear-cut.
     """
     drifts_c: dict[H2Variant, float] = {}
@@ -138,8 +138,8 @@ def discriminate_h2(
             if variant is H2Variant.AS_WRITTEN
             else H2Variant.AS_WRITTEN
         )
-        shrinks = drifts_f[variant] < drifts_c[variant] / shrink_factor + floor
-        stalls = drifts_f[other] > drifts_c[other] / stall_factor - floor
+        shrinks = drifts_f[variant] < drifts_c[variant] / SHRINK_FACTOR + floor
+        stalls = drifts_f[other] > drifts_c[other] / STALL_FACTOR - floor
         if shrinks and stalls and drifts_f[variant] < drifts_f[other]:
             conserved = variant
             break

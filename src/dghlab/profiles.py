@@ -26,6 +26,8 @@ def cosine(grid: Grid, amplitude: float = 1.0, modes: int = 1, mean: float = 0.0
     """amplitude * cos(2 pi modes x) + mean on the periodic circle."""
     if not grid.is_periodic:
         raise ValueError("cosine initial data needs a periodic grid")
+    if not float(modes).is_integer():
+        raise ValueError(f"modes must be a whole number, got {modes!r}")
     x = grid.nodes
     return Field(grid, amplitude * np.cos(2.0 * np.pi * modes * x) + mean)
 

@@ -1,22 +1,27 @@
 """Scenario configs: a YAML document describing one experiment run.
 
 Every field is validated before the run and unknown keys are rejected, so a
-typo in a config never silently changes an experiment.  The options, grid
-and parameter constraints of each kind come from ``experiments.KINDS``; the
-parsed scenario carries every option of its kind, defaults filled in.  See
-the README for the schema and ``dghlab describe <kind>`` for the options.
+typo in a config never silently changes an experiment.  Parsing builds the
+run's grid, parameters and initial data, so a scenario that parses can run.
+The options, grid and parameter constraints of each kind come from
+``experiments.KINDS``; the parsed scenario carries every option of its kind,
+defaults filled in.  See the README for the schema and ``dghlab describe
+<kind>`` for the options.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
 
 from .experiments import KINDS, ExperimentKind, Option
-from .grid import Grid, GridKind, make_grid
-from .solver import PhysParams, SimConfig, step_count
+from .grid import Field, Grid, GridKind, make_grid
+from .profiles import make_profile
+from .solver import CflWarning, PhysParams, SimConfig, check_run
 
 __all__ = ["ExperimentKind", "Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
@@ -26,8 +31,7 @@ class ScenarioError(ValueError):
 
 
 _GRID_KEYS = {"kind", "n", "half_width"}
-_PARAM_KEYS = {"omega", "gamma", "lambda"}
-_INITIAL_KEYS = {"family", "amplitude", "center", "width", "modes", "mean", "space"}
+_PARAM_KEYS = ("omega", "gamma", "lambda")
 _SOLVER_KEYS = {"dt", "t_end", "snapshot_stride", "blowup_guard"}
 _TOP_KEYS = {"name", "kind", "grid", "params", "initial", "solver", "output_dir", "options"}
 
@@ -39,6 +43,7 @@ class Scenario:
     grid: Grid
     params: PhysParams
     initial: dict
+    u0: Field
     solver: dict
     options: dict = field(default_factory=dict)
     output_dir: str | None = None
@@ -75,25 +80,36 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ScenarioError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
 
 
-def _number(mapping: dict, key: str, where: str, default=None, minimum=None):
-    if key not in mapping:
-        if default is None:
-            raise ScenarioError(f"missing required key '{key}' in {where}")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(f"{where}.{key} must be >= {minimum}, got {v}")
-    return float(v)
+def _section(doc: dict, key: str, allowed) -> dict:
+    sec = _require_mapping(doc[key], key)
+    _reject_unknown(sec, allowed, key)
+    return sec
+
+
+def _member(enum_cls, value, where: str):
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise ScenarioError(
+            f"{where} must be one of {[k.value for k in enum_cls]}, got {value!r}"
+        ) from None
+
+
+def _number(where: str, v, integer: bool = False):
+    """v as a float (an int when ``integer``); ScenarioError unless it is finite."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise ScenarioError(f"{where} must be {'an integer' if integer else 'a number'}, got {v!r}")
+    if not (integer or math.isfinite(v)):
+        raise ScenarioError(f"{where} must be finite, got {v!r}")
+    return v if integer else float(v)
 
 
 def _option(name: str, opt: Option, v):
@@ -111,16 +127,22 @@ def _option(name: str, opt: Option, v):
 
 
 def _bounded(where: str, opt: Option, v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where} must be a number, got {v!r}")
+    v = _number(where, v)
     if opt.low is not None and not v > opt.low:
         raise ScenarioError(f"{where} must be > {opt.low:g}, got {v}")
     if opt.high is not None and not v < opt.high:
         raise ScenarioError(f"{where} must be < {opt.high:g}, got {v}")
-    return float(v)
+    return v
 
 
 def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
+    """Validate a config and build the objects of its run.
+
+    Value types are checked here; every other rule is left to the
+    constructors of the run's objects (grid, parameters, initial data, solver
+    settings) and to ``check_run``, whose errors become ScenarioErrors, so a
+    scenario that parses can run.
+    """
     doc = _require_mapping(doc, source)
     _reject_unknown(doc, _TOP_KEYS, source)
     for key in ("name", "kind", "grid", "params", "initial", "solver"):
@@ -129,59 +151,39 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("name must be a nonempty string")
-    try:
-        kind = ExperimentKind(doc["kind"])
-    except ValueError:
-        raise ScenarioError(
-            f"unknown experiment kind {doc['kind']!r}; choose from "
-            f"{[k.value for k in ExperimentKind]}"
-        ) from None
+    kind = _member(ExperimentKind, doc["kind"], "kind")
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ScenarioError("output_dir must be a string path")
 
-    gsec = _require_mapping(doc["grid"], "grid")
-    _reject_unknown(gsec, _GRID_KEYS, "grid")
-    gkind = gsec.get("kind")
-    if gkind not in ("periodic", "line"):
-        raise ScenarioError(f"grid.kind must be 'periodic' or 'line', got {gkind!r}")
-    n = gsec.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ScenarioError(f"grid.n must be an integer, got {n!r}")
-    if gkind == "periodic":
-        if "half_width" in gsec:
-            raise ScenarioError("grid.half_width applies to line grids only")
-        grid = make_grid(GridKind.PERIODIC, n)
-    else:
-        half_width = _number(gsec, "half_width", "grid", minimum=1e-12)
-        grid = make_grid(GridKind.TRUNCATED_LINE, n, half_width)
-
-    psec = _require_mapping(doc["params"], "params")
-    _reject_unknown(psec, _PARAM_KEYS, "params")
-    params = PhysParams(
-        omega=_number(psec, "omega", "params", default=0.0),
-        gamma=_number(psec, "gamma", "params", default=0.0),
-        lam=_number(psec, "lambda", "params", default=0.0, minimum=0.0),
+    gsec = _section(doc, "grid", _GRID_KEYS)
+    gkind = _member(GridKind, gsec.get("kind"), "grid.kind")
+    n = _number("grid.n", gsec.get("n"), integer=True)
+    if gkind is GridKind.PERIODIC and "half_width" in gsec:
+        raise ScenarioError("grid.half_width applies to line grids only")
+    half_width = None if gkind is GridKind.PERIODIC else _number(
+        "grid.half_width", gsec.get("half_width")
     )
-
+    psec = _section(doc, "params", _PARAM_KEYS)
+    omega, gamma, lam = (_number(f"params.{k}", psec.get(k, 0.0)) for k in _PARAM_KEYS)
     isec = _require_mapping(doc["initial"], "initial")
-    _reject_unknown(isec, _INITIAL_KEYS, "initial")
-    family = isec.get("family")
-    if family not in ("zero", "gaussian", "cosine", "bump"):
-        raise ScenarioError(f"initial.family must name a known family, got {family!r}")
-    space = isec.get("space", "u")
-    if space not in ("u", "m"):
-        raise ScenarioError(f"initial.space must be 'u' or 'm', got {space!r}")
-    initial = dict(isec)
-    initial.setdefault("space", "u")
-
-    ssec = _require_mapping(doc["solver"], "solver")
-    _reject_unknown(ssec, _SOLVER_KEYS, "solver")
+    family, space = isec.get("family"), isec.get("space", "u")
+    profile = {
+        k: _number(f"initial.{k}", v) for k, v in isec.items() if k not in ("family", "space")
+    }
+    ssec = _section(doc, "solver", _SOLVER_KEYS)
     solver = {
-        "dt": _number(ssec, "dt", "solver", minimum=1e-15),
-        "t_end": _number(ssec, "t_end", "solver", minimum=1e-15),
-        "snapshot_stride": int(_number(ssec, "snapshot_stride", "solver", default=1, minimum=1)),
-        "blowup_guard": _number(ssec, "blowup_guard", "solver", default=1e3, minimum=1e-15),
+        "dt": _number("solver.dt", ssec.get("dt")),
+        "t_end": _number("solver.t_end", ssec.get("t_end")),
+        "snapshot_stride": _number(
+            "solver.snapshot_stride", ssec.get("snapshot_stride", 1), integer=True
+        ),
+        "blowup_guard": _number("solver.blowup_guard", ssec.get("blowup_guard", 1e3)),
     }
 
     spec = KINDS[kind]
+    if spec.grid is not None and gkind is not spec.grid:
+        raise ScenarioError(f"{kind.value} runs on {spec.grid.value} grids")
     given = _require_mapping(doc.get("options", {}), "options")
     _reject_unknown(given, set(spec.options), "options")
     options = {}
@@ -189,24 +191,29 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
         default = opt.default(solver) if callable(opt.default) else opt.default
         options[key] = _option(key, opt, given.get(key, default))
 
-    steps = {"solver.dt": solver["dt"]}
-    steps.update((f"options.dts[{i}]", dt) for i, dt in enumerate(options.get("dts", [])))
-    for where, dt in steps.items():
-        try:
-            step_count(solver["t_end"], dt)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
+    where = "grid"
+    try:
+        grid = make_grid(gkind, n, half_width)
+        where = "params"
+        params = PhysParams(omega, gamma, lam)
+        where = "initial"
+        u0 = make_profile(grid, family, space, **profile)
+        where = "solver"
+        config = SimConfig(grid, params, **solver)
+        steps = {"solver.dt": solver["dt"]}
+        steps.update((f"options.dts[{i}]", dt) for i, dt in enumerate(options.get("dts", [])))
+        with warnings.catch_warnings():  # simulate warns when the run starts
+            warnings.simplefilter("ignore", CflWarning)
+            for where, dt in steps.items():
+                check_run(replace(config, dt=dt), u0)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ScenarioError("output_dir must be a string path")
-
-    if spec.grid is not None and grid.kind is not spec.grid:
-        raise ScenarioError(f"{kind.value} runs on {spec.grid.value} grids")
     if spec.params is not None and not spec.params[0](params):
         raise ScenarioError(spec.params[1])
 
-    return Scenario(name, kind, grid, params, initial, solver, options, output_dir)
+    initial = {"family": family, "space": space, **profile}
+    return Scenario(name, kind, grid, params, initial, u0, solver, options, output_dir)
 
 
 def load_scenario(path) -> Scenario:

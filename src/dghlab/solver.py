@@ -173,29 +173,32 @@ def cfl_bound(grid: Grid, params: PhysParams, u0: Field) -> float:
     return 0.5 * grid.spacing / speed
 
 
-def _check_cfl(config: SimConfig, u0: Field) -> None:
+ForcingFn = Callable[[float], np.ndarray]
+
+
+def check_run(config: SimConfig, u0: Field) -> int:
+    """Check that config can run from u0 and return its number of steps.
+
+    ValueError when u0 lives on another grid, when dt exceeds twice the
+    advisory CFL bound, or when t_end is not a whole number of dt steps;
+    CflWarning when dt exceeds the bound itself.
+    """
+    if u0.grid != config.grid:
+        raise ValueError("initial data lives on a different grid than the config")
+    dt, t_end = config.dt, config.t_end
     bound = cfl_bound(config.grid, config.params, u0)
-    if config.dt > 2.0 * bound:
-        raise ValueError(
-            f"dt = {config.dt:g} exceeds twice the advisory CFL bound {bound:g}"
-        )
-    if config.dt > bound:
+    if dt > 2.0 * bound:
+        raise ValueError(f"dt = {dt:g} exceeds twice the advisory CFL bound {bound:g}")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
+    if dt > bound:
         warnings.warn(
-            f"dt = {config.dt:g} exceeds the advisory CFL bound {bound:g}; "
+            f"dt = {dt:g} exceeds the advisory CFL bound {bound:g}; "
             "the run proceeds but accuracy should be checked by refinement",
             CflWarning,
             stacklevel=3,
         )
-
-
-ForcingFn = Callable[[float], np.ndarray]
-
-
-def step_count(t_end: float, dt: float) -> int:
-    """Number of dt steps from 0 to t_end; ValueError unless it is a whole number."""
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
     return n_steps
 
 
@@ -204,11 +207,8 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
 
     ``forcing(t)`` values, when given, are added to du/dt.
     """
-    if u0.grid != config.grid:
-        raise ValueError("initial data lives on a different grid than the config")
-    _check_cfl(config, u0)
+    n_steps = check_run(config, u0)
     grid, p, dt = config.grid, config.params, config.dt
-    n_steps = step_count(config.t_end, dt)
 
     def rhs_t(t: float, v: np.ndarray) -> np.ndarray:
         # Stage 1 starts from the state u whose u_x the gradient guard just took.

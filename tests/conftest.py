@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 import dghlab as d
+from dghlab import Field, GridKind, green_kernel
 
 
 def band_limited(grid, kmax: int, amplitude: float, rng) -> d.Field:
@@ -67,3 +68,35 @@ def dx_invert_lambda2_direct(f: d.Field) -> d.Field:
     """g' * f on the circle by circulant convolution with the sampled kernel."""
     gp = _periodic_kernel_samples(f.grid, derivative_of_kernel=True)
     return d.Field(f.grid, _circular_convolve(f.grid, gp, f.values))
+
+
+# -- O(n^2) sampled-kernel quadratures: the oracle on both grids -------------
+
+
+def invert_lambda2_reference(f: Field) -> Field:
+    """Slow sampled-kernel quadrature of g * f (second-order accurate)."""
+    x = f.grid.nodes
+    out = np.empty(f.grid.n)
+    for i in range(f.grid.n):
+        if f.grid.is_periodic:
+            g = green_kernel(GridKind.PERIODIC, x[i] - x)
+        else:
+            g = green_kernel(GridKind.TRUNCATED_LINE, x[i] - x)
+        out[i] = f.grid.spacing * np.dot(g, f.values)
+    return Field(f.grid, out)
+
+
+def dx_invert_lambda2_reference(f: Field) -> Field:
+    """Slow sampled-kernel quadrature of g' * f (second-order accurate)."""
+    x = f.grid.nodes
+    out = np.empty(f.grid.n)
+    for i in range(f.grid.n):
+        d = x[i] - x
+        if f.grid.is_periodic:
+            z = d - np.floor(d) - 0.5
+            gp = np.sinh(z) / (2.0 * math.sinh(0.5))
+            gp[i] = 0.0
+        else:
+            gp = -np.sign(d) * 0.5 * np.exp(-np.abs(d))
+        out[i] = f.grid.spacing * np.dot(gp, f.values)
+    return Field(f.grid, out)

@@ -61,15 +61,6 @@ def test_clock_monotone_concave_bounded(lam, t, dt):
     assert mid >= 0.5 * (tau0 + tau1) - 1e-12  # concavity
 
 
-def test_transform_spec_validation():
-    spec = d.TransformSpec(lam=2.0, t_max=3.0)
-    assert spec.tau_max < 1.0 / spec.lam
-    with pytest.raises(ValueError):
-        d.TransformSpec(lam=0.0, t_max=1.0)
-    with pytest.raises(ValueError):
-        d.TransformSpec(lam=1.0, t_max=-1.0)
-
-
 # -- mapping trajectories -----------------------------------------------------
 
 

@@ -7,12 +7,13 @@ from scipy.integrate import quad
 
 import dghlab as d
 from dghlab import GridKind as GK
-from dghlab.helmholtz import (
+from conftest import (
+    band_limited,
+    dx_invert_lambda2_direct,
     dx_invert_lambda2_reference,
+    invert_lambda2_direct,
     invert_lambda2_reference,
 )
-
-from conftest import band_limited, dx_invert_lambda2_direct, invert_lambda2_direct
 
 
 # -- kernel values -----------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -102,6 +105,28 @@ def test_parse_rejects_bad_values():
     doc["solver"]["t_end"] = 0.096
     with pytest.raises(ScenarioError, match=r"options.dts\[1\]: t_end = 0.096 is not an integer"):
         parse_scenario(doc)
+    line = {"kind": "line", "n": 64, "half_width": 5.0}
+    for section, value, match in [
+        ("initial", {"family": "zero", "amplitude": 1.0}, "initial: zero.*'amplitude'"),
+        ("initial", {"family": "gaussian", "modes": 2}, "initial: gaussian.*'modes'"),
+        ("initial", {"family": "gaussian", "amplitude": "big"}, "initial.amplitude must be a number"),
+        ("initial", {"family": "gaussian", "amplitude": 1e400}, "initial.amplitude must be finite"),
+        ("initial", {"family": "cosine", "modes": 1.5}, "initial: modes must be a whole number"),
+        ("initial", {"family": "gaussian", "width": -1}, "initial: width must be positive"),
+        ("grid", {"kind": "periodic", "n": 8}, "grid: need at least 16 nodes"),
+        ("grid", {"kind": "torus", "n": 64}, "grid.kind must be one of"),
+        ("params", {"omega": math.nan}, "params.omega must be finite"),
+        ("solver", {"dt": 1e-3, "t_end": math.inf}, "solver.t_end must be finite"),
+        ("solver", {"dt": 1e-3, "t_end": 0.05, "snapshot_stride": 2.5}, "snapshot_stride must be an integer"),
+        ("solver", {"dt": 0.05, "t_end": 0.5}, "solver.dt: dt = 0.05 exceeds twice the advisory CFL"),
+    ]:
+        doc = _base_doc(initial={"family": "cosine", "amplitude": 0.05})
+        doc[section] = value
+        with pytest.raises(ScenarioError, match=match):
+            parse_scenario(doc)
+    doc = _base_doc(grid=line, initial={"family": "cosine"})
+    with pytest.raises(ScenarioError, match="initial: cosine initial data needs a periodic grid"):
+        parse_scenario(doc)
 
 
 def test_parse_fills_and_normalizes_options():
@@ -171,11 +196,12 @@ def test_describe_covers_every_kind():
 
 def test_module_entry_point_runs():
     env = {**os.environ, "PYTHONPATH": str(Path(d.__file__).resolve().parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-m", "dghlab.cli", "version"], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == d.__version__
+    for module in ("dghlab.cli", "dghlab"):
+        out = subprocess.run(
+            [sys.executable, "-m", module, "version"], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0
+        assert out.stdout.strip() == d.__version__
 
 
 # -- CLI run: exit codes and artifacts ----------------------------------------
@@ -208,6 +234,7 @@ def test_run_cfl_rejection_exit_two(tmp_path, capsys):
     cfg = _write(tmp_path, doc)
     assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 2
     assert "CFL" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
 
 
 def test_run_is_deterministic(tmp_path):
@@ -244,9 +271,11 @@ def test_run_failing_check_exit_one(tmp_path, capsys):
     assert "FAIL energy_drift" in capsys.readouterr().out
 
 
-def test_run_numerical_failure_exit_three(tmp_path, capsys):
+def test_run_numerical_failure_exit_three(tmp_path, capsys, monkeypatch):
+    # the run goes non-finite while stepping: every right-hand side is NaN
+    monkeypatch.setattr("dghlab.solver._rhs", lambda grid, u, p, ux=None: np.full_like(u, np.nan))
     doc = _base_doc(name="blowup")
-    doc["initial"] = {"family": "gaussian", "amplitude": 1.0e400, "width": 1.0}
+    doc["initial"] = {"family": "gaussian", "amplitude": 1.0, "width": 1.0}
     doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}
     cfg = _write(tmp_path, doc)
     rc = main(["run", str(cfg), "--output-root", str(tmp_path / "out")])
@@ -255,6 +284,44 @@ def test_run_numerical_failure_exit_three(tmp_path, capsys):
     meta = json.loads((tmp_path / "out" / "blowup" / "metadata.json").read_text())
     assert meta["status"] == "numerical_failure"
     assert "numerical failure" in capsys.readouterr().err
+    # every kind, and the damped audit, reports such a run as a numerical failure
+    damped = _base_doc(name="damped", kind="InvariantAudit", initial={"family": "cosine"})
+    damped["params"] = {"omega": 0.0, "gamma": 0.0, "lambda": 0.5}
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    for cfg in configs + [_write(tmp_path, damped)]:
+        assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 3, cfg.name
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def test_run_error_exit_four(tmp_path, capsys, monkeypatch):
+    def runner(scn):
+        raise RuntimeError("a bug in the runner")
+
+    kind = ExperimentKind.FREE_RUN
+    monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], runner=runner))
+    cfg = _write(tmp_path, _base_doc(name="bug"))
+    assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 4
+    meta = json.loads((tmp_path / "out" / "bug" / "metadata.json").read_text())
+    assert meta["status"] == "error"
+    assert "RuntimeError: a bug in the runner" in meta["trace"]
+    assert "RuntimeError: a bug in the runner" in capsys.readouterr().err
+
+
+def test_run_zero_data_fails_checks_exit_one(tmp_path, capsys):
+    line = {"kind": "line", "n": 64, "half_width": 5.0}
+    still = {"omega": 0.0, "gamma": 0.0}
+    for kind, checks in [
+        ("SupportPropagation", ["support_in_characteristic_cone"]),
+        ("TailFormation", ["right_tail_rate", "left_tail_rate"]),
+    ]:
+        cfg = _write(tmp_path, _base_doc(name=kind, kind=kind, grid=line, params=still))
+        assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 1
+        meta = json.loads((tmp_path / "out" / kind / "metadata.json").read_text())
+        assert meta["status"] == "check_failed"
+        failed = [c["name"] for c in meta["checks"] if not c["passed"]]
+        assert failed == checks
+        out = capsys.readouterr().out
+        assert all(f"FAIL {name}" in out for name in checks)
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):
