@@ -44,7 +44,6 @@ from .grid import (
 from .helmholtz import (
     apply_lambda2,
     dx_invert_lambda2,
-    green_kernel,
     invert_lambda2,
 )
 from .invariants import (
@@ -102,7 +101,6 @@ __all__ = [
     "energy_h1",
     "equivalence_report",
     "evolve_characteristics",
-    "green_kernel",
     "hamiltonian_h2",
     "integrate",
     "invert_lambda2",

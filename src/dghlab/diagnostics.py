@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Field, derivative
-from .helmholtz import dx_invert_lambda2, invert_lambda2
+from .helmholtz import dx_invert_lambda2
 from .solver import PhysParams, Trajectory
 
 __all__ = [
@@ -93,7 +93,6 @@ class ContinuationProbe:
     """
 
     F: Field
-    f: Field
     residual: Field
     max_residual: float
     quiet: tuple[QuietInterval, ...]
@@ -113,7 +112,6 @@ def continuation_probe(
     ux = derivative(u, 1)
     h = Field(u.grid, u.values**2 + 0.5 * ux.values**2)
     F = dx_invert_lambda2(h)
-    f_field = invert_lambda2(h)
     residual = Field(
         u.grid,
         F.values + rhs_at_snapshot.values + (u.values + 2.0 * p.omega) * ux.values,
@@ -126,22 +124,15 @@ def continuation_probe(
                 float(x[j0]), float(x[j1]), float(np.max(np.abs(F.values[j0 : j1 + 1])))
             )
         )
-    return ContinuationProbe(F, f_field, residual, residual.max_abs(), tuple(quiet))
+    return ContinuationProbe(F, residual, residual.max_abs(), tuple(quiet))
 
 
 def _quiet_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True entries as inclusive index pairs."""
-    runs = []
-    j = 0
-    n = mask.size
-    while j < n:
-        if mask[j]:
-            j0 = j
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((j0, j))
-        j += 1
-    return runs
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1).tolist()
+    ends = (np.flatnonzero(edges == -1) - 1).tolist()
+    return list(zip(starts, ends))
 
 
 def tail_decay_fit(f: Field, side: str, window: tuple[float, float]) -> float:

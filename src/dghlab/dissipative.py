@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import Field, integrate
+from .grid import Field
 from .solver import Trajectory
 
 __all__ = [
@@ -86,36 +86,21 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Per-time differences between two trajectories on the same grid."""
+    """Per-time max-norm differences between two trajectories."""
 
     times: np.ndarray
     max_abs: np.ndarray
-    l2: np.ndarray
 
     @property
     def worst(self) -> float:
-        return float(np.max(self.max_abs)) if self.max_abs.size else 0.0
+        return float(np.max(self.max_abs))
 
 
 def equivalence_report(direct: Trajectory, mapped: Trajectory) -> EquivalenceReport:
-    """Compare two runs snapshot-by-snapshot after aligning their times."""
+    """Compare two runs on the same grid and the same snapshot times."""
     if direct.grid != mapped.grid:
         raise ValueError("trajectories live on different grids")
-    # Align on (numerically) common times.
-    idx_pairs = []
-    j = 0
-    for i, t in enumerate(direct.times):
-        while j < len(mapped.times) and mapped.times[j] < t - 1e-9:
-            j += 1
-        if j < len(mapped.times) and abs(mapped.times[j] - t) <= 1e-9:
-            idx_pairs.append((i, j))
-    if not idx_pairs:
-        raise ValueError("trajectories share no snapshot times")
-    times = np.array([direct.times[i] for i, _ in idx_pairs])
-    max_abs = np.empty(len(idx_pairs))
-    l2 = np.empty(len(idx_pairs))
-    for k, (i, j) in enumerate(idx_pairs):
-        diff = direct.snapshots[i].values - mapped.snapshots[j].values
-        max_abs[k] = np.max(np.abs(diff))
-        l2[k] = np.sqrt(integrate(Field(direct.grid, diff**2)))
-    return EquivalenceReport(times, max_abs, l2)
+    if not np.array_equal(direct.times, mapped.times):
+        raise ValueError("trajectories have different snapshot times")
+    max_abs = np.max(np.abs(direct.values_matrix() - mapped.values_matrix()), axis=1)
+    return EquivalenceReport(direct.times, max_abs)

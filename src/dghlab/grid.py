@@ -176,21 +176,23 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str, stacklevel: int = 3) -> None:
-    """Warn when values have not decayed at the boundary; ``stacklevel`` names
-    the frame the warning points at, counted from here (3: the caller's caller)."""
+def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> bool:
+    """Warn, pointing at the caller's caller, when truncated-line values have
+    not decayed at the boundary; return whether it warned."""
+    if grid.is_periodic:
+        return False
     peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return
     edge = max(abs(values[0]), abs(values[-1]))
-    if edge > BOUNDARY_DECAY_RATIO * peak:
-        warnings.warn(
-            f"{what}: field magnitude {edge:.3e} at the domain boundary exceeds "
-            f"{BOUNDARY_DECAY_RATIO:g} * max|f| = {BOUNDARY_DECAY_RATIO * peak:.3e}; "
-            "truncated-line results may be polluted by the cut-off",
-            BoundaryDecayWarning,
-            stacklevel=stacklevel,
-        )
+    if edge <= BOUNDARY_DECAY_RATIO * peak:
+        return False
+    warnings.warn(
+        f"{what}: field magnitude {edge:.3e} at the domain boundary exceeds "
+        f"{BOUNDARY_DECAY_RATIO:g} * max|f| = {BOUNDARY_DECAY_RATIO * peak:.3e}; "
+        "truncated-line results may be polluted by the cut-off",
+        BoundaryDecayWarning,
+        stacklevel=3,
+    )
+    return True
 
 
 class _SpectralFactors(NamedTuple):
@@ -286,14 +288,14 @@ def derivative(f: Field, order: int) -> Field:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
+    _check_boundary_decay(f.grid, f.values, "derivative")
     return Field(f.grid, _derivative_values(f.grid, f.values, order))
 
 
 def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
-    """``derivative`` on plain node values: same checks, same arithmetic."""
+    """``derivative`` on plain node values, without the boundary check."""
     if grid.is_periodic:
         return _derivative_periodic(grid, values, order)
-    _check_boundary_decay(grid, values, "derivative", stacklevel=4)
     return _derivative_line(grid, values, order)
 
 
@@ -303,9 +305,9 @@ def integrate(f: Field) -> float:
 
 
 def _normalize_sign(sign) -> int:
-    if sign in (1, +1, "+", "plus"):
+    if sign == "+":
         return 1
-    if sign in (-1, "-", "minus"):
+    if sign == "-":
         return -1
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 

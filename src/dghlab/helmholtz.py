@@ -32,24 +32,13 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from .grid import Field, Grid, GridKind, _check_boundary_decay, _spectral_factors, derivative
+from .grid import Field, Grid, _check_boundary_decay, _spectral_factors, derivative
 
 __all__ = [
     "apply_lambda2",
     "dx_invert_lambda2",
-    "green_kernel",
     "invert_lambda2",
 ]
-
-
-def green_kernel(kind: GridKind, x) -> np.ndarray | float:
-    """Pointwise Green's kernel of the Helmholtz operator for the given domain."""
-    x = np.asarray(x, dtype=float)
-    if kind is GridKind.PERIODIC:
-        out = np.cosh(x - np.floor(x) - 0.5) / (2.0 * math.sinh(0.5))
-    else:
-        out = 0.5 * np.exp(-np.abs(x))
-    return out if out.ndim else float(out)
 
 
 def apply_lambda2(u: Field) -> Field:
@@ -152,22 +141,22 @@ def _line_exponential_parts(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, n
 
 def invert_lambda2(f: Field) -> Field:
     """Green's-function convolution g * f inverting the Helmholtz operator."""
+    _check_boundary_decay(f.grid, f.values, "invert_lambda2")
     if f.grid.is_periodic:
         return Field(f.grid, _invert_periodic_spectral(f.grid, f.values))
-    _check_boundary_decay(f.grid, f.values, "invert_lambda2")
     P, Q = _line_exponential_parts(f.grid, f.values)
     return Field(f.grid, 0.5 * (P + Q))
 
 
 def dx_invert_lambda2(f: Field) -> Field:
     """d/dx of the Green's-function convolution, i.e. convolution with g'."""
+    _check_boundary_decay(f.grid, f.values, "dx_invert_lambda2")
     return Field(f.grid, _dx_invert_values(f.grid, f.values))
 
 
 def _dx_invert_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """``dx_invert_lambda2`` on plain node values: same checks, same arithmetic."""
+    """``dx_invert_lambda2`` on plain node values, without the boundary check."""
     if grid.is_periodic:
         return _dx_invert_periodic_spectral(grid, vals)
-    _check_boundary_decay(grid, vals, "dx_invert_lambda2", stacklevel=4)
     P, Q = _line_exponential_parts(grid, vals)
     return 0.5 * (Q - P)

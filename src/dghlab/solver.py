@@ -20,9 +20,9 @@ guard that converts wave breaking into a measurable event.
 
 ``simulate`` steps plain value arrays through one array right-hand side,
 which ``rhs_nonlocal`` wraps for Fields, with the same arithmetic.  Each
-step's result is checked once for NaN/Inf, and only recorded snapshots are
-built as validated Fields.  The gradient guard's u_x is reused as the next
-step's first-stage u_x.
+step's result is checked once for NaN/Inf and, on the line, for boundary
+decay; only recorded snapshots are built as validated Fields.  The
+gradient guard's u_x is reused as the next step's first-stage u_x.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
-from .grid import Field, Grid, _derivative_values, _spectral_factors
+from .grid import Field, Grid, _check_boundary_decay, _derivative_values, _spectral_factors
 from .helmholtz import _dx_invert_values
 
 __all__ = [
@@ -146,6 +146,7 @@ def _rhs(grid: Grid, u: np.ndarray, p: PhysParams, ux: np.ndarray | None = None)
 
 def rhs_nonlocal(u: Field, p: PhysParams) -> Field:
     """Time derivative of u in the nonlocal form, damped by lam * u when lam > 0."""
+    _check_boundary_decay(u.grid, u.values, "rhs_nonlocal")
     return Field(u.grid, _rhs(u.grid, u.values, p))
 
 
@@ -180,8 +181,8 @@ def check_run(config: SimConfig, u0: Field) -> int:
     """Check that config can run from u0 and return its number of steps.
 
     ValueError when u0 lives on another grid, when dt exceeds twice the
-    advisory CFL bound, or when t_end is not a whole number of dt steps;
-    CflWarning when dt exceeds the bound itself.
+    advisory CFL bound, or when t_end is not a whole, finite number of dt
+    steps; CflWarning when dt exceeds the bound itself.
     """
     if u0.grid != config.grid:
         raise ValueError("initial data lives on a different grid than the config")
@@ -189,7 +190,10 @@ def check_run(config: SimConfig, u0: Field) -> int:
     bound = cfl_bound(config.grid, config.params, u0)
     if dt > 2.0 * bound:
         raise ValueError(f"dt = {dt:g} exceeds twice the advisory CFL bound {bound:g}")
-    n_steps = int(round(t_end / dt))
+    ratio = t_end / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not a finite number of steps")
+    n_steps = int(round(ratio))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
     if dt > bound:
@@ -205,7 +209,9 @@ def check_run(config: SimConfig, u0: Field) -> int:
 def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> Trajectory:
     """Integrate from u0 to t_end, or stop early on a gradient guard / NaN.
 
-    ``forcing(t)`` values, when given, are added to du/dt.
+    ``forcing(t)`` values, when given, are added to du/dt.  On a truncated
+    line each step's state is checked for boundary decay, with at most one
+    BoundaryDecayWarning per run.
     """
     n_steps = check_run(config, u0)
     grid, p, dt = config.grid, config.params, config.dt
@@ -220,12 +226,15 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
     termination = Termination.COMPLETED
     guard_time = None
     u, ux = u0.values, None
+    warned = False
     for step in range(1, n_steps + 1):
         u = step_rk4(u, (step - 1) * dt, dt, rhs_t)
         if not np.all(np.isfinite(u)):
             # NaN/Inf in any stage reaches u: keep the finite prefix.
             termination = Termination.NON_FINITE
             break
+        if not warned:
+            warned = _check_boundary_decay(grid, u, "simulate")
         t_now = step * dt
         record = step % config.snapshot_stride == 0 or step == n_steps
         ux = _derivative_values(grid, u, 1)

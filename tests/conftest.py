@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 import dghlab as d
-from dghlab import Field, GridKind, green_kernel
+from dghlab import Field, GridKind
 
 
 def band_limited(grid, kmax: int, amplitude: float, rng) -> d.Field:
@@ -38,6 +38,16 @@ def subsample(traj: d.Trajectory, step: int) -> d.Trajectory:
         times=traj.times[idx],
         snapshots=tuple(traj.snapshots[i] for i in idx),
     )
+
+
+def green_kernel(kind: GridKind, x) -> np.ndarray | float:
+    """Pointwise Green's kernel of the Helmholtz operator for the given domain."""
+    x = np.asarray(x, dtype=float)
+    if kind is GridKind.PERIODIC:
+        out = np.cosh(x - np.floor(x) - 0.5) / (2.0 * math.sinh(0.5))
+    else:
+        out = 0.5 * np.exp(-np.abs(x))
+    return out if out.ndim else float(out)
 
 
 # -- periodic circulant convolution: the oracle for spectral division -------

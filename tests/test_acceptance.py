@@ -20,7 +20,6 @@ from dghlab.scenario import parse_scenario
 from conftest import (
     band_limited,
     dx_invert_lambda2_direct,
-    invert_lambda2_direct,
     run,
     subsample,
 )
@@ -258,10 +257,9 @@ def test_criterion_07_continuation_identity(ref_run_, ref_params, monkeypatch):
     for snap in ref_run_.snapshots:
         rhs = d.rhs_nonlocal(snap, ref_params)
         worst = max(worst, d.continuation_probe(snap, rhs, ref_params).max_residual)
-        # the same probe with F and f from the circulant-convolution oracle
+        # the same probe with F from the circulant-convolution oracle
         with monkeypatch.context() as mp:
             mp.setattr(diagnostics, "dx_invert_lambda2", dx_invert_lambda2_direct)
-            mp.setattr(diagnostics, "invert_lambda2", invert_lambda2_direct)
             worst = max(worst, d.continuation_probe(snap, rhs, ref_params).max_residual)
     _criterion(
         7,

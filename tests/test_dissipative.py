@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dghlab as d
 from dghlab import GridKind as GK
 
-from conftest import run
+from conftest import run, subsample
 
 
 # -- the exponential clock ----------------------------------------------------
@@ -113,7 +113,7 @@ def test_map_rejects_uncovered_times(conservative_run):
 
 def test_equivalence_report_trivial_cases(conservative_run):
     rep = d.equivalence_report(conservative_run, conservative_run)
-    assert rep.worst == 0.0 and np.all(rep.l2 == 0.0)
+    assert rep.worst == 0.0
     shifted = d.Trajectory(
         conservative_run.config,
         conservative_run.times,
@@ -122,7 +122,6 @@ def test_equivalence_report_trivial_cases(conservative_run):
     )
     rep2 = d.equivalence_report(conservative_run, shifted)
     assert rep2.worst == pytest.approx(0.25, rel=1e-12)
-    assert np.max(rep2.l2) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_equivalence_report_rejects_mismatched_grids(conservative_run):
@@ -132,6 +131,8 @@ def test_equivalence_report_rejects_mismatched_grids(conservative_run):
     other = run(cfg, d.Field.zeros(g))
     with pytest.raises(ValueError):
         d.equivalence_report(conservative_run, other)
+    with pytest.raises(ValueError, match="snapshot times"):
+        d.equivalence_report(conservative_run, subsample(conservative_run, 2))
 
 
 def test_direct_damped_run_matches_transformed_conservative():

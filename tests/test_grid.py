@@ -183,8 +183,9 @@ def test_weighted_integral_rejects_periodic():
 
 def test_weighted_integral_rejects_bad_sign():
     g = d.make_grid(GK.TRUNCATED_LINE, 64, 5.0)
-    with pytest.raises(ValueError):
-        d.weighted_integral(d.Field.zeros(g), "both")
+    for sign in ("both", "plus", 1):
+        with pytest.raises(ValueError):
+            d.weighted_integral(d.Field.zeros(g), sign)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])

@@ -11,6 +11,7 @@ from conftest import (
     band_limited,
     dx_invert_lambda2_direct,
     dx_invert_lambda2_reference,
+    green_kernel,
     invert_lambda2_direct,
     invert_lambda2_reference,
 )
@@ -20,31 +21,31 @@ from conftest import (
 
 
 def test_real_kernel_point_values():
-    assert d.green_kernel(GK.TRUNCATED_LINE, 0.0) == 0.5
-    assert d.green_kernel(GK.TRUNCATED_LINE, math.log(2)) == pytest.approx(0.25, rel=1e-15)
+    assert green_kernel(GK.TRUNCATED_LINE, 0.0) == 0.5
+    assert green_kernel(GK.TRUNCATED_LINE, math.log(2)) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_periodic_kernel_peak_value():
     expected = math.cosh(0.5) / (2 * math.sinh(0.5))
     assert expected == pytest.approx(1.0819767, abs=1e-7)
-    assert d.green_kernel(GK.PERIODIC, 0.0) == pytest.approx(expected, rel=1e-15)
+    assert green_kernel(GK.PERIODIC, 0.0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_kernel_symmetry_and_periodicity():
     x = np.linspace(-3, 3, 101)
-    real = d.green_kernel(GK.TRUNCATED_LINE, x)
-    assert np.array_equal(real, d.green_kernel(GK.TRUNCATED_LINE, -x))
-    per = d.green_kernel(GK.PERIODIC, x)
-    per_shift = d.green_kernel(GK.PERIODIC, x + 1.0)
+    real = green_kernel(GK.TRUNCATED_LINE, x)
+    assert np.array_equal(real, green_kernel(GK.TRUNCATED_LINE, -x))
+    per = green_kernel(GK.PERIODIC, x)
+    per_shift = green_kernel(GK.PERIODIC, x + 1.0)
     assert np.max(np.abs(per - per_shift)) < 1e-14
 
 
 def test_kernel_mass_is_one():
     g = d.make_grid(GK.PERIODIC, 512)
-    gk = d.Field.from_function(g, lambda x: d.green_kernel(GK.PERIODIC, x))
+    gk = d.Field.from_function(g, lambda x: green_kernel(GK.PERIODIC, x))
     assert abs(d.integrate(gk) - 1.0) < 1e-6
     gl = d.make_grid(GK.TRUNCATED_LINE, 16384, 20.0)
-    gkl = d.Field.from_function(gl, lambda x: d.green_kernel(GK.TRUNCATED_LINE, x))
+    gkl = d.Field.from_function(gl, lambda x: green_kernel(GK.TRUNCATED_LINE, x))
     assert abs(d.integrate(gkl) - 1.0) < 1e-6
 
 

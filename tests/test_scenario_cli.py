@@ -12,7 +12,7 @@ import yaml
 
 import dghlab as d
 from dghlab.cli import describe, main, run_scenario
-from dghlab.experiments import KINDS
+from dghlab.experiments import KINDS, execute
 from dghlab.scenario import ExperimentKind, ScenarioError, load_scenario, parse_scenario
 
 
@@ -119,6 +119,8 @@ def test_parse_rejects_bad_values():
         ("solver", {"dt": 1e-3, "t_end": math.inf}, "solver.t_end must be finite"),
         ("solver", {"dt": 1e-3, "t_end": 0.05, "snapshot_stride": 2.5}, "snapshot_stride must be an integer"),
         ("solver", {"dt": 0.05, "t_end": 0.5}, "solver.dt: dt = 0.05 exceeds twice the advisory CFL"),
+        ("solver", {"dt": 1e-310, "t_end": 0.05}, "solver.dt: t_end / dt = 0.05 / 1e-310 is not a finite"),
+        ("solver", {"dt": 1e-10, "t_end": 1e300}, "solver.dt: t_end / dt = 1e.300 / 1e-10 is not a finite"),
     ]:
         doc = _base_doc(initial={"family": "cosine", "amplitude": 0.05})
         doc[section] = value
@@ -372,6 +374,54 @@ def test_dissipative_equivalence_scenario(tmp_path):
     assert run_scenario(cfg, output_root=str(tmp_path / "out")) == 0
     meta = json.loads((tmp_path / "out" / "equiv" / "metadata.json").read_text())
     assert meta["results"]["max_error_by_lambda"]["0.5"] < 1e-5
+
+
+def _equivalence_scenario(t_end):
+    doc = _base_doc(kind="DissipativeEquivalence", params={"omega": 0.0, "gamma": 0.0})
+    doc["initial"] = {"family": "cosine", "amplitude": 0.05}
+    doc["solver"] = {"dt": 1.0e-3, "t_end": t_end, "snapshot_stride": 10}
+    return parse_scenario(doc)
+
+
+def test_dissipative_equivalence_runs_the_undamped_problem_once(monkeypatch):
+    calls = []
+
+    def counting(cfg, u0, **kw):
+        calls.append(cfg.params.lam)
+        return d.simulate(cfg, u0, **kw)
+
+    monkeypatch.setattr("dghlab.experiments.simulate", counting)
+    result = execute(_equivalence_scenario(0.1))
+    assert calls == [0.0, 0.1, 0.5, 1.0]
+    assert [c.name for c in result.checks] == [
+        "equivalence_lambda_0.1", "equivalence_lambda_0.5", "equivalence_lambda_1",
+    ]
+    assert result.all_passed
+
+
+def test_dissipative_equivalence_fails_lambdas_beyond_a_short_undamped_run(monkeypatch):
+    # an undamped run that stops between the horizons of lambda = 0.5 and 0.1
+    scn = _equivalence_scenario(0.5)
+    tau = {lam: d.to_conservative_time(0.5, lam) for lam in (0.1, 0.5, 1.0)}
+    assert tau[1.0] < tau[0.5] < 0.46 < tau[0.1]
+
+    def truncated(cfg, u0, **kw):
+        traj = d.simulate(cfg, u0, **kw)
+        if cfg.params.lam > 0:
+            return traj
+        keep = int(np.count_nonzero(traj.times <= 0.46))
+        return replace(
+            traj,
+            times=traj.times[:keep],
+            snapshots=traj.snapshots[:keep],
+            termination=d.Termination.BLOWUP_GUARD,
+        )
+
+    monkeypatch.setattr("dghlab.experiments.simulate", truncated)
+    checks = {c.name: c for c in execute(scn).checks}
+    assert not checks["equivalence_lambda_0.1"].passed
+    assert checks["equivalence_lambda_0.1"].detail == "undamped run: termination=blowup_guard"
+    assert checks["equivalence_lambda_0.5"].passed and checks["equivalence_lambda_1"].passed
 
 
 def test_manufactured_scenario(tmp_path):

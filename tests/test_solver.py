@@ -268,6 +268,19 @@ def test_simulate_blowup_guard_hits_in_finite_time():
     assert abs(hits[2.5e-3] - hits[1.25e-3]) / hits[1.25e-3] < 0.10
 
 
+def test_simulate_warns_boundary_decay_once_per_run():
+    # a gaussian of width 2 is still 2e-3 of its peak at the edges of [-5, 5]
+    g = d.make_grid(GK.TRUNCATED_LINE, 512, 5.0)
+    u0 = d.make_profile(g, "gaussian", width=2.0)
+    cfg = d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=1e-3, t_end=0.05)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d.simulate(cfg, u0)
+    decay = [w for w in caught if issubclass(w.category, d.BoundaryDecayWarning)]
+    assert len(decay) == 1
+    assert decay[0].filename == __file__
+
+
 def test_simulate_is_deterministic(pgrid):
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(pgrid, p, dt=5e-4, t_end=0.05, snapshot_stride=10)
