@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .invariants import relative_drift
+
 __all__ = [
     "write_metadata",
     "write_series_csv",
@@ -33,15 +35,11 @@ def write_metadata(path: Path, payload: dict) -> Path:
 
 def write_series_csv(path: Path, times, values) -> Path:
     """Time series with columns t, value, drift."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    v0 = values[0] if values.size else 0.0
-    scale = max(1.0, abs(v0))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["t,value,drift"]
-    for t, v in zip(times, values):
-        lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(abs(v - v0) / scale)}")
+    for t, v, drift in zip(times, values, relative_drift(values)):
+        lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(drift)}")
     path.write_text("\n".join(lines) + "\n")
     return path
 

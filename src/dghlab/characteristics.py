@@ -22,12 +22,7 @@ from .grid import Field, derivative
 from .helmholtz import apply_lambda2
 from .solver import PhysParams, Trajectory, step_rk4
 
-__all__ = [
-    "CharacteristicPaths",
-    "TransportResidual",
-    "evolve_characteristics",
-    "transport_residual",
-]
+__all__ = ["evolve_characteristics", "transport_residual"]
 
 
 @dataclass(frozen=True)
@@ -123,11 +118,10 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
 
 @dataclass(frozen=True)
 class TransportResidual:
-    """Residual of the transport identity per snapshot time and seed."""
+    """Largest residual of the transport identity at each snapshot time."""
 
     times: np.ndarray
-    residuals: np.ndarray  # shape (n_times, n_seeds); NaN after a seed exits
-    max_abs: np.ndarray  # max over seeds, per time
+    max_abs: np.ndarray  # max over the seeds still inside the domain, per time
 
     @property
     def worst(self) -> float:
@@ -137,7 +131,7 @@ class TransportResidual:
 def transport_residual(
     traj: Trajectory, paths: CharacteristicPaths, p: PhysParams
 ) -> TransportResidual:
-    """Per-time, per-seed residual of the conserved momentum-transport product.
+    """Per-time max over the seeds of the momentum-transport residual.
 
     Residual(t, x) = (m0(x) + c) - (m(t, q(t, x)) + c) * q_x(t, x)^2 with
     c = omega + gamma/2; identically zero for the exact flow.
@@ -156,4 +150,4 @@ def transport_residual(
         mq = m_itp.blend(k, 0.0, paths.q[k, valid])
         res[k, valid] = (m0_at_seeds[valid] + c) - (mq + c) * paths.qx[k, valid] ** 2
     max_abs = np.nanmax(np.abs(res), axis=1)
-    return TransportResidual(traj.times.copy(), res, max_abs)
+    return TransportResidual(traj.times.copy(), max_abs)

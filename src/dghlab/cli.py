@@ -22,13 +22,12 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .artifacts import write_metadata, write_series_csv, write_snapshot_csv, write_svg_lineplot
 from .experiments import KINDS, ExperimentKind, ExperimentResult, Option, execute
 from .grid import NonFiniteFieldError
 from .helmholtz import apply_lambda2
+from .invariants import relative_drift
 from .scenario import Scenario, ScenarioError, _member, load_scenario
 
 __all__ = ["describe", "entrypoint", "list_kinds", "main", "run_scenario"]
@@ -82,7 +81,7 @@ def _write_artifacts(scn: Scenario, result: ExperimentResult, outdir: Path) -> l
         p = write_snapshot_csv(outdir / f"snapshot_{label}.csv", snap.x, snap.values, m.values)
         written.append(p.name)
     drift_like = {
-        name: (t, np.abs(v - v[0]) / max(1.0, abs(v[0])))
+        name: (t, relative_drift(v))
         for name, (t, v) in result.series.items()
         if name in ("energy_h1", "mass") and len(v)
     }

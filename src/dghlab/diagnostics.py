@@ -30,9 +30,6 @@ from .helmholtz import dx_invert_lambda2
 from .solver import PhysParams, Trajectory
 
 __all__ = [
-    "ContinuationProbe",
-    "Rectangle",
-    "SupportReport",
     "continuation_probe",
     "sign_kernel_S",
     "support_interval",
@@ -45,12 +42,7 @@ class SupportReport:
     """Detected support interval of a field, or None when below threshold."""
 
     interval: Optional[tuple[float, float]]
-    threshold: float
     boundary_touch: bool
-
-    @property
-    def empty(self) -> bool:
-        return self.interval is None
 
 
 def support_interval(f: Field, threshold: float) -> SupportReport:
@@ -59,11 +51,11 @@ def support_interval(f: Field, threshold: float) -> SupportReport:
         raise ValueError("threshold must be positive")
     above = np.abs(f.values) >= threshold
     if not np.any(above):
-        return SupportReport(None, threshold, False)
+        return SupportReport(None, False)
     idx = np.nonzero(above)[0]
     x = f.grid.nodes
     touch = bool(above[0] or above[-1])
-    return SupportReport((float(x[idx[0]]), float(x[idx[-1]])), threshold, touch)
+    return SupportReport((float(x[idx[0]]), float(x[idx[-1]])), touch)
 
 
 def sign_kernel_S(a: float, b: float, y) -> np.ndarray | float:
@@ -88,43 +80,47 @@ class QuietInterval:
 class ContinuationProbe:
     """Pointwise residual of the nonlocal identity and quiet-zone report.
 
-    ``residual = F + u_t + (u + 2 omega) u_x`` with u_t supplied by the
-    caller (normally the semidiscrete right-hand side at the snapshot).
+    ``max_residual`` is the max over nodes of ``|F + u_t + (u + 2 omega) u_x|``
+    with u_t supplied by the caller (normally the semidiscrete right-hand side
+    at the snapshot).  ``quiet`` lists the runs of nodes where |u| < QUIET_TOL.
     """
 
     F: Field
-    residual: Field
     max_residual: float
     quiet: tuple[QuietInterval, ...]
 
 
-def continuation_probe(
-    u: Field,
-    rhs_at_snapshot: Field,
-    p: PhysParams,
-    quiet_tol: float = 1e-12,
-) -> ContinuationProbe:
+QUIET_TOL = 1e-12
+
+
+def continuation_regime(p: PhysParams) -> bool:
+    """Whether gamma = -2 omega, up to rounding relative to |gamma|.
+
+    The one rule for where the nonlocal identity holds: the probe and the
+    ContinuationProbe config both apply it.
+    """
+    return abs(p.gamma + 2.0 * p.omega) <= 1e-12 * (1.0 + abs(p.gamma))
+
+
+def continuation_probe(u: Field, rhs_at_snapshot: Field, p: PhysParams) -> ContinuationProbe:
     """Evaluate the nonlocal-identity residual; requires gamma = -2 omega."""
-    if abs(p.gamma + 2.0 * p.omega) > 1e-12 * (1.0 + abs(p.gamma)):
+    if not continuation_regime(p):
         raise ValueError(
             f"the identity holds for gamma = -2 omega; got omega={p.omega}, gamma={p.gamma}"
         )
     ux = derivative(u, 1)
     h = Field(u.grid, u.values**2 + 0.5 * ux.values**2)
     F = dx_invert_lambda2(h)
-    residual = Field(
-        u.grid,
-        F.values + rhs_at_snapshot.values + (u.values + 2.0 * p.omega) * ux.values,
-    )
+    residual = F.values + rhs_at_snapshot.values + (u.values + 2.0 * p.omega) * ux.values
     quiet = []
-    for j0, j1 in _quiet_runs(np.abs(u.values) < quiet_tol):
+    for j0, j1 in _quiet_runs(np.abs(u.values) < QUIET_TOL):
         x = u.grid.nodes
         quiet.append(
             QuietInterval(
                 float(x[j0]), float(x[j1]), float(np.max(np.abs(F.values[j0 : j1 + 1])))
             )
         )
-    return ContinuationProbe(F, residual, residual.max_abs(), tuple(quiet))
+    return ContinuationProbe(F, float(np.max(np.abs(residual))), tuple(quiet))
 
 
 def _quiet_runs(mask: np.ndarray) -> list[tuple[int, int]]:

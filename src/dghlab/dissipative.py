@@ -24,27 +24,20 @@ from scipy.interpolate import CubicSpline
 from .grid import Field
 from .solver import Trajectory
 
-__all__ = [
-    "EquivalenceReport",
-    "equivalence_report",
-    "map_solution",
-    "to_conservative_time",
-]
-
-_SMALL_LAMBDA = 1e-8
+__all__ = ["equivalence_report", "map_solution", "to_conservative_time"]
 
 
 def to_conservative_time(t, lam: float):
-    """tau = (1 - exp(-lam t)) / lam, with a series branch for tiny lam."""
+    """tau = (1 - exp(-lam t)) / lam, and tau = t at lam = 0.
+
+    ``expm1`` keeps the quotient accurate for every lam > 0, however small.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    if lam < _SMALL_LAMBDA:
-        out = t - lam * t**2 / 2.0 + lam**2 * t**3 / 6.0
-    else:
-        out = -np.expm1(-lam * t) / lam
+    out = t.copy() if lam == 0.0 else -np.expm1(-lam * t) / lam
     return out if out.ndim else float(out)
 
 

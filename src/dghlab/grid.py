@@ -26,10 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "BOUNDARY_DECAY_RATIO",
     "BoundaryDecayWarning",
     "Field",
-    "Grid",
     "GridKind",
     "NonFiniteFieldError",
     "derivative",
@@ -39,6 +37,10 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+# 2^24 nodes (128 MiB per stored field) is 1024x the largest grid any shipped
+# config, test or benchmark uses (16384 nodes); a larger n is a typo, and it
+# is rejected before anything is allocated.
+MAX_NODES = 2**24
 
 # Tolerated ratio |f(boundary)| / max|f| before a truncated-line field is
 # considered non-decayed and a soft warning is attached.
@@ -75,6 +77,8 @@ class Grid:
             raise TypeError(f"kind must be a GridKind, got {self.kind!r}")
         if int(self.n) != self.n or self.n < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} nodes, got n={self.n}")
+        if self.n > MAX_NODES:
+            raise ValueError(f"at most {MAX_NODES} nodes are supported, got n={self.n}")
         if self.kind is GridKind.PERIODIC and self.length != 1.0:
             raise ValueError("periodic grids have period 1")
         if self.length <= 0:

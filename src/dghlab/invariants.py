@@ -10,7 +10,9 @@ Tracked quantities:
 * the exponentially weighted momenta ``int exp(+-x) (m + omega + gamma/2) dx``
   on the truncated line.
 
-Drift is reported as max |value(t) - value(0)| / max(1, |value(0)|).
+Drift is |value(t) - value(0)| / max(1, |value(0)|), computed by
+``relative_drift`` for every table, plot and check that reports it; a
+series' drift is its maximum over the run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .helmholtz import apply_lambda2
 from .solver import PhysParams, Trajectory
 
 __all__ = [
-    "FunctionalSeries",
     "H2Variant",
     "discriminate_h2",
     "drift_series",
@@ -37,6 +38,13 @@ __all__ = [
 ]
 
 
+def relative_drift(values) -> np.ndarray:
+    """|v - v[0]| / max(1, |v[0]|) per entry; empty for an empty series."""
+    values = np.asarray(values, dtype=float)
+    v0 = values[:1]
+    return np.abs(values - v0) / np.maximum(1.0, np.abs(v0))
+
+
 @dataclass(frozen=True)
 class FunctionalSeries:
     name: str
@@ -45,8 +53,7 @@ class FunctionalSeries:
 
     @property
     def drift(self) -> float:
-        v0 = self.values[0]
-        return float(np.max(np.abs(self.values - v0)) / max(1.0, abs(v0)))
+        return float(np.max(relative_drift(self.values)))
 
 
 def energy_h1(u: Field) -> float:
@@ -100,38 +107,22 @@ def drift_series(
     return FunctionalSeries(name, traj.times.copy(), values)
 
 
-@dataclass(frozen=True)
-class H2Discrimination:
-    """Outcome of the two-resolution drift study of the cubic functional."""
-
-    conserved: H2Variant | None
-    drifts_coarse: dict[H2Variant, float]
-    drifts_fine: dict[H2Variant, float]
-
-
 SHRINK_FACTOR = 6.0
 STALL_FACTOR = 2.0
 
 
 def discriminate_h2(
-    traj_coarse: Trajectory, traj_fine: Trajectory, p: PhysParams
-) -> H2Discrimination:
-    """Decide which cubic variant is conserved from two time resolutions.
+    drifts_c: dict[H2Variant, float], drifts_f: dict[H2Variant, float]
+) -> H2Variant | None:
+    """Decide which cubic variant is conserved from its drifts at two time steps.
 
-    A variant counts as conserved when its drift shrinks by at least
-    ``SHRINK_FACTOR`` under the refinement while the other variant's drift
-    stays within ``STALL_FACTOR`` of its coarse value.  Returns ``None`` for
-    the conserved variant when the evidence is not clear-cut.
+    ``drifts_c`` and ``drifts_f`` hold each variant's drift on the same run at
+    a coarse and at a finer time step.  A variant counts as conserved when its
+    drift shrinks by at least ``SHRINK_FACTOR`` under the refinement while the
+    other variant's drift stays within ``STALL_FACTOR`` of its coarse value.
+    Returns ``None`` when the evidence is not clear-cut.
     """
-    drifts_c: dict[H2Variant, float] = {}
-    drifts_f: dict[H2Variant, float] = {}
-    for variant in H2Variant:
-        fn = lambda u, v=variant: hamiltonian_h2(u, p, v)
-        drifts_c[variant] = drift_series(traj_coarse, fn).drift
-        drifts_f[variant] = drift_series(traj_fine, fn).drift
-
     floor = 1e-15
-    conserved = None
     for variant in H2Variant:
         other = (
             H2Variant.CUBIC_GRADIENT
@@ -141,6 +132,5 @@ def discriminate_h2(
         shrinks = drifts_f[variant] < drifts_c[variant] / SHRINK_FACTOR + floor
         stalls = drifts_f[other] > drifts_c[other] / STALL_FACTOR - floor
         if shrinks and stalls and drifts_f[variant] < drifts_f[other]:
-            conserved = variant
-            break
-    return H2Discrimination(conserved, drifts_c, drifts_f)
+            return variant
+    return None

@@ -7,7 +7,7 @@ import numpy as np
 from .grid import Field, Grid
 from .helmholtz import invert_lambda2
 
-__all__ = ["bump", "cosine", "gaussian", "make_profile", "zero"]
+__all__ = ["make_profile"]
 
 
 def zero(grid: Grid) -> Field:

@@ -23,7 +23,7 @@ from .grid import Field, Grid, GridKind, make_grid
 from .profiles import make_profile
 from .solver import CflWarning, PhysParams, SimConfig, check_run
 
-__all__ = ["ExperimentKind", "Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
 
 class ScenarioError(ValueError):

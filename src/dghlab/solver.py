@@ -176,13 +176,23 @@ def cfl_bound(grid: Grid, params: PhysParams, u0: Field) -> float:
 
 ForcingFn = Callable[[float], np.ndarray]
 
+# Caps on the size of one run, so that a slip in dt, t_end or snapshot_stride
+# is rejected at parse time instead of running for days or exhausting memory.
+# The largest shipped config, test or benchmark run takes 4,000 steps and
+# stores 618,496 values; the caps sit 2,500x and 434x above that.  2^28
+# stored values are 2 GiB of float64.
+MAX_STEPS = 10**7
+MAX_SNAPSHOT_VALUES = 2**28
+
 
 def check_run(config: SimConfig, u0: Field) -> int:
     """Check that config can run from u0 and return its number of steps.
 
     ValueError when u0 lives on another grid, when dt exceeds twice the
-    advisory CFL bound, or when t_end is not a whole, finite number of dt
-    steps; CflWarning when dt exceeds the bound itself.
+    advisory CFL bound, when t_end is not a whole, finite number of dt
+    steps, or when the run exceeds MAX_STEPS steps or would store more than
+    MAX_SNAPSHOT_VALUES snapshot values; CflWarning when dt exceeds the
+    bound itself.
     """
     if u0.grid != config.grid:
         raise ValueError("initial data lives on a different grid than the config")
@@ -194,6 +204,14 @@ def check_run(config: SimConfig, u0: Field) -> int:
     if not np.isfinite(ratio):
         raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not a finite number of steps")
     n_steps = int(round(ratio))
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {n_steps:.3g} steps exceeds the cap of {MAX_STEPS:.0e}")
+    stored = (n_steps // config.snapshot_stride + 2) * config.grid.n
+    if stored > MAX_SNAPSHOT_VALUES:
+        raise ValueError(
+            f"the run would store {stored:.3g} snapshot values, "
+            f"more than the cap of {MAX_SNAPSHOT_VALUES:.3g}"
+        )
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
     if dt > bound:

@@ -28,6 +28,14 @@ def run(cfg, u0, **kw) -> d.Trajectory:
         return d.simulate(cfg, u0, **kw)
 
 
+def h2_drifts(traj: d.Trajectory, p: d.PhysParams) -> dict:
+    """Drift of each cubic variant along traj, the input of ``discriminate_h2``."""
+    return {
+        v: d.drift_series(traj, lambda u, v=v: d.hamiltonian_h2(u, p, v)).drift
+        for v in d.H2Variant
+    }
+
+
 def subsample(traj: d.Trajectory, step: int) -> d.Trajectory:
     """Every step-th snapshot of traj (the first and the last always included)."""
     idx = list(range(0, len(traj.snapshots), step))

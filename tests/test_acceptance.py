@@ -20,6 +20,7 @@ from dghlab.scenario import parse_scenario
 from conftest import (
     band_limited,
     dx_invert_lambda2_direct,
+    h2_drifts,
     run,
     subsample,
 )
@@ -357,8 +358,8 @@ def test_criterion_11_manufactured_convergence():
 
 def test_criterion_12_h2_discrimination(energetic_pair):
     coarse, fine, p = energetic_pair
-    disc = d.discriminate_h2(coarse, fine, p)
-    exactly_one = disc.conserved is not None
+    conserved = d.discriminate_h2(h2_drifts(coarse, p), h2_drifts(fine, p))
+    exactly_one = conserved is not None
 
     # the same decision is recorded in run metadata by the audit scenario
     scn = parse_scenario(
@@ -374,7 +375,7 @@ def test_criterion_12_h2_discrimination(energetic_pair):
     )
     result = execute(scn)
     recorded = result.metadata.get("h2_conserved_variant")
-    ok = exactly_one and recorded == disc.conserved.value
+    ok = exactly_one and recorded == conserved.value
     _criterion(
         12,
         "exactly one cubic-functional variant is conserved and recorded",

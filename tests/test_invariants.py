@@ -7,7 +7,7 @@ from scipy.integrate import quad
 import dghlab as d
 from dghlab import GridKind as GK
 
-from conftest import band_limited, run
+from conftest import band_limited, h2_drifts, run
 
 
 # -- pointwise functionals ----------------------------------------------------
@@ -184,10 +184,11 @@ def test_h2_discrimination_identifies_cubic_gradient():
     )
     coarse = run(d.SimConfig(g, p, dt=1e-3, t_end=0.5, snapshot_stride=25), u0)
     fine = run(d.SimConfig(g, p, dt=5e-4, t_end=0.5, snapshot_stride=50), u0)
-    disc = d.discriminate_h2(coarse, fine, p)
-    assert disc.conserved is d.H2Variant.CUBIC_GRADIENT
-    assert disc.drifts_fine[d.H2Variant.AS_WRITTEN] > 1e-3
-    assert disc.drifts_fine[d.H2Variant.CUBIC_GRADIENT] < 1e-8
+    drifts_fine = h2_drifts(fine, p)
+    conserved = d.discriminate_h2(h2_drifts(coarse, p), drifts_fine)
+    assert conserved is d.H2Variant.CUBIC_GRADIENT
+    assert drifts_fine[d.H2Variant.AS_WRITTEN] > 1e-3
+    assert drifts_fine[d.H2Variant.CUBIC_GRADIENT] < 1e-8
 
 
 # -- flux-form identities -----------------------------------------------------

@@ -121,6 +121,10 @@ def test_parse_rejects_bad_values():
         ("solver", {"dt": 0.05, "t_end": 0.5}, "solver.dt: dt = 0.05 exceeds twice the advisory CFL"),
         ("solver", {"dt": 1e-310, "t_end": 0.05}, "solver.dt: t_end / dt = 0.05 / 1e-310 is not a finite"),
         ("solver", {"dt": 1e-10, "t_end": 1e300}, "solver.dt: t_end / dt = 1e.300 / 1e-10 is not a finite"),
+        ("solver", {"dt": 1e-10, "t_end": 1e5}, "solver.dt: t_end / dt = 1e.15 steps exceeds the cap"),
+        ("solver", {"dt": 1e-3, "t_end": 1e5, "snapshot_stride": 1}, "solver.dt: t_end / dt = 1e.08 steps"),
+        ("solver", {"dt": 1e-3, "t_end": 5e3, "snapshot_stride": 1}, "solver.dt: the run would store 3.2e.08"),
+        ("grid", {"kind": "periodic", "n": 10**12}, "grid: at most 16777216 nodes"),
     ]:
         doc = _base_doc(initial={"family": "cosine", "amplitude": 0.05})
         doc[section] = value
@@ -149,6 +153,11 @@ def test_parse_kind_specific_constraints():
     doc["params"] = {"omega": 0.1, "gamma": 0.3}
     with pytest.raises(ScenarioError, match="-2 omega"):
         parse_scenario(doc)
+    # gamma = -2 omega up to rounding relative to |gamma|: the probe's own rule
+    doc["params"] = {"omega": 10.0, "gamma": -20.0 + 1e-11}
+    doc["solver"]["dt"] = 1e-4
+    scn = parse_scenario(doc)
+    d.continuation_probe(scn.u0, d.rhs_nonlocal(scn.u0, scn.params), scn.params)
     doc = _base_doc(kind="ManufacturedConvergence")
     doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}
     with pytest.raises(ScenarioError, match="periodic"):
@@ -358,6 +367,28 @@ def test_invariant_audit_with_discrimination(tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "out" / "audit-h2" / "metadata.json").read_text())
     assert meta["results"]["h2_conserved_variant"] == "cubic_gradient"
+
+
+def test_invariant_audit_evaluates_each_h2_series_once(monkeypatch):
+    snapshots, calls = [], []
+
+    def counting_simulate(cfg, u0, **kw):
+        traj = d.simulate(cfg, u0, **kw)
+        snapshots.append(len(traj.times))
+        return traj
+
+    def counting_h2(u, p, variant):
+        calls.append(variant)
+        return d.hamiltonian_h2(u, p, variant)
+
+    monkeypatch.setattr("dghlab.experiments.simulate", counting_simulate)
+    monkeypatch.setattr("dghlab.experiments.hamiltonian_h2", counting_h2)
+    doc = _base_doc(kind="InvariantAudit", options={"discriminate_h2": True})
+    doc["initial"] = {"family": "cosine", "amplitude": 0.05}
+    result = execute(parse_scenario(doc))
+    assert len(snapshots) == 2  # the run and its rerun at dt/2
+    assert len(calls) == 2 * sum(snapshots)
+    assert set(result.metadata["h2_drifts_coarse"]) == {v.value for v in d.H2Variant}
 
 
 def test_dissipative_equivalence_scenario(tmp_path):
