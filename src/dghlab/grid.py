@@ -201,18 +201,27 @@ def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> bool:
 
 class _SpectralFactors(NamedTuple):
     ik: np.ndarray  # 2 pi i k, the spectral d/dx
-    dealias: np.ndarray  # modes the 2/3 rule zeroes in quadratic products
     helmholtz: np.ndarray  # 1 + 4 pi^2 k^2, the symbol of 1 - d^2/dx^2
+    keep: np.ndarray  # 1.0 on the modes the 2/3 rule keeps in quadratic products, else 0.0
+    dx: np.ndarray  # ik with the Nyquist mode of an even n zeroed, as odd derivatives do
+    dx_helmholtz: np.ndarray  # dx / helmholtz, the symbol of d/dx Lambda^{-2}
 
 
 @lru_cache(maxsize=32)
 def _spectral_factors(grid: Grid) -> _SpectralFactors:
     """Read-only Fourier multipliers of a periodic grid, computed once per grid."""
     k = np.fft.rfftfreq(grid.n, d=grid.spacing)
+    ik = 2j * np.pi * k
+    helmholtz = 1.0 + 4.0 * np.pi**2 * k**2
+    dx = ik.copy()
+    if grid.n % 2 == 0:
+        dx[-1] = 0.0
     factors = _SpectralFactors(
-        ik=2j * np.pi * k,
-        dealias=k > grid.n / 3.0,
-        helmholtz=1.0 + 4.0 * np.pi**2 * k**2,
+        ik=ik,
+        helmholtz=helmholtz,
+        keep=(k <= grid.n / 3.0).astype(float),
+        dx=dx,
+        dx_helmholtz=dx / helmholtz,
     )
     for a in factors:
         a.setflags(write=False)
@@ -220,8 +229,12 @@ def _spectral_factors(grid: Grid) -> _SpectralFactors:
 
 
 def _derivative_periodic(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
-    coef = np.fft.rfft(values)
-    coef *= _spectral_factors(grid).ik ** order
+    return _derivative_spectral(grid, np.fft.rfft(values), order)
+
+
+def _derivative_spectral(grid: Grid, coef: np.ndarray, order: int) -> np.ndarray:
+    """Derivative of the given order from the field's ``rfft`` coefficients, left unchanged."""
+    coef = coef * _spectral_factors(grid).ik ** order
     if order % 2 == 1 and grid.n % 2 == 0:
         coef[-1] = 0.0  # the Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(coef, n=grid.n)
@@ -262,14 +275,17 @@ def _fornberg_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:
 _HALF_WIDTH = {1: 3, 2: 3, 3: 4}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _line_stencils(spacing: float, order: int):
+    """Read-only interior and closure weights for one spacing and order."""
     s = _HALF_WIDTH[order]
     width = 2 * s + 1
     offs = np.arange(-s, s + 1) * spacing
     interior = _fornberg_weights(offs, 0.0, order)
     edge = np.arange(width) * spacing
-    closures = [_fornberg_weights(edge, i * spacing, order) for i in range(s)]
+    closures = tuple(_fornberg_weights(edge, i * spacing, order) for i in range(s))
+    for w in (interior, *closures):
+        w.setflags(write=False)
     return s, interior, closures
 
 

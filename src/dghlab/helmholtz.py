@@ -22,12 +22,16 @@ node into the two exponential one-sided parts
 so that ``g*f = (P + Q)/2`` and ``(g*f)' = (Q - P)/2`` exactly.  P and Q obey
 one-step recurrences with decaying coefficients, and each panel integral is
 computed exactly against a local cubic interpolant of f, giving a stable
-O(n) scheme with fourth-order accuracy.
+O(n) scheme with fourth-order accuracy.  The panel weights depend only on
+the spacing and are cached; the interior panels are a 4-tap correlation of
+f with them.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -99,6 +103,34 @@ def _exp_panel_moments(h: float) -> tuple[np.ndarray, np.ndarray]:
     return nu_a, nu_b
 
 
+class _PanelWeights(NamedTuple):
+    """Dot-product weights of the panel integrals A and B (see ``_panel_integrals``)."""
+
+    interior_a: np.ndarray  # h * (_LAGRANGE_INTERIOR @ nu_a)
+    interior_b: np.ndarray
+    first_a: np.ndarray  # _LAGRANGE_FIRST @ nu_a, scaled by h after the dot
+    first_b: np.ndarray
+    last_a: np.ndarray  # _LAGRANGE_LAST @ nu_a, scaled by h after the dot
+    last_b: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _panel_weights(h: float) -> _PanelWeights:
+    """Read-only panel weights for spacing h, computed once per spacing."""
+    nu_a, nu_b = _exp_panel_moments(h)
+    weights = _PanelWeights(
+        interior_a=h * (_LAGRANGE_INTERIOR @ nu_a),
+        interior_b=h * (_LAGRANGE_INTERIOR @ nu_b),
+        first_a=_LAGRANGE_FIRST @ nu_a,
+        first_b=_LAGRANGE_FIRST @ nu_b,
+        last_a=_LAGRANGE_LAST @ nu_a,
+        last_b=_LAGRANGE_LAST @ nu_b,
+    )
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
 def _panel_integrals(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact exponential moments of the piecewise-cubic interpolant of f.
 
@@ -108,19 +140,16 @@ def _panel_integrals(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     n = grid.n
     h = grid.spacing
-    nu_a, nu_b = _exp_panel_moments(h)
-    w_a_int = h * (_LAGRANGE_INTERIOR @ nu_a)
-    w_b_int = h * (_LAGRANGE_INTERIOR @ nu_b)
-    A = np.zeros(n - 1)
-    B = np.zeros(n - 1)
-    # interior panels i = 1 .. n-3 read nodes i-1 .. i+2
-    stencil = np.lib.stride_tricks.sliding_window_view(vals, 4)  # rows j -> nodes j..j+3
-    A[1 : n - 2] = stencil[: n - 3] @ w_a_int
-    B[1 : n - 2] = stencil[: n - 3] @ w_b_int
-    A[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_a))
-    B[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_b))
-    A[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_a))
-    B[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_b))
+    w = _panel_weights(h)
+    A = np.empty(n - 1)
+    B = np.empty(n - 1)
+    # interior panel i = 1 .. n-3 reads nodes i-1 .. i+2: a 4-tap correlation
+    A[1 : n - 2] = np.correlate(vals, w.interior_a, "valid")
+    B[1 : n - 2] = np.correlate(vals, w.interior_b, "valid")
+    A[0] = h * (vals[:4] @ w.first_a)
+    B[0] = h * (vals[:4] @ w.first_b)
+    A[n - 2] = h * (vals[-4:] @ w.last_a)
+    B[n - 2] = h * (vals[-4:] @ w.last_b)
     return A, B
 
 

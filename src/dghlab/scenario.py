@@ -140,8 +140,9 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
 
     Value types are checked here; every other rule is left to the
     constructors of the run's objects (grid, parameters, initial data, solver
-    settings) and to ``check_run``, whose errors become ScenarioErrors, so a
-    scenario that parses can run.
+    settings) and to ``check_run``, whose errors become ScenarioErrors.
+    ``check_run`` sees every run the kind's runner makes (``Kind.runs``), so
+    a scenario that parses can run.
     """
     doc = _require_mapping(doc, source)
     _reject_unknown(doc, _TOP_KEYS, source)
@@ -191,6 +192,7 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
         default = opt.default(solver) if callable(opt.default) else opt.default
         options[key] = _option(key, opt, given.get(key, default))
 
+    initial = {"family": family, "space": space, **profile}
     where = "grid"
     try:
         grid = make_grid(gkind, n, half_width)
@@ -199,21 +201,18 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
         where = "initial"
         u0 = make_profile(grid, family, space, **profile)
         where = "solver"
-        config = SimConfig(grid, params, **solver)
-        steps = {"solver.dt": solver["dt"]}
-        steps.update((f"options.dts[{i}]", dt) for i, dt in enumerate(options.get("dts", [])))
+        scn = Scenario(name, kind, grid, params, initial, u0, solver, options, output_dir)
+        scn.sim_config()  # the solver section's own rules, reported under "solver"
         with warnings.catch_warnings():  # simulate warns when the run starts
             warnings.simplefilter("ignore", CflWarning)
-            for where, dt in steps.items():
-                check_run(replace(config, dt=dt), u0)
+            for where, overrides in spec.runs(solver, options).items():
+                check_run(scn.sim_config(**overrides), u0)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
     if spec.params is not None and not spec.params[0](params):
         raise ScenarioError(spec.params[1])
-
-    initial = {"family": family, "space": space, **profile}
-    return Scenario(name, kind, grid, params, initial, u0, solver, options, output_dir)
+    return scn
 
 
 def load_scenario(path) -> Scenario:

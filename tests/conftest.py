@@ -118,3 +118,37 @@ def dx_invert_lambda2_reference(f: Field) -> Field:
             gp = -np.sign(d) * 0.5 * np.exp(-np.abs(d))
         out[i] = f.grid.spacing * np.dot(gp, f.values)
     return Field(f.grid, out)
+
+
+# -- sliding-window panel integrals: the oracle for the line P/Q recurrence ---
+
+
+def panel_integrals_reference(grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``helmholtz._panel_integrals`` as a sliding window and two matmuls per call.
+
+    Weights are rebuilt on every call; the arithmetic of each panel is the
+    library's, so the two must agree bitwise.
+    """
+    from dghlab.helmholtz import (
+        _LAGRANGE_FIRST,
+        _LAGRANGE_INTERIOR,
+        _LAGRANGE_LAST,
+        _exp_panel_moments,
+    )
+
+    n = grid.n
+    h = grid.spacing
+    nu_a, nu_b = _exp_panel_moments(h)
+    w_a_int = h * (_LAGRANGE_INTERIOR @ nu_a)
+    w_b_int = h * (_LAGRANGE_INTERIOR @ nu_b)
+    A = np.zeros(n - 1)
+    B = np.zeros(n - 1)
+    # interior panels i = 1 .. n-3 read nodes i-1 .. i+2
+    stencil = np.lib.stride_tricks.sliding_window_view(vals, 4)  # rows j -> nodes j..j+3
+    A[1 : n - 2] = stencil[: n - 3] @ w_a_int
+    B[1 : n - 2] = stencil[: n - 3] @ w_b_int
+    A[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_a))
+    B[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_b))
+    A[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_a))
+    B[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_b))
+    return A, B

@@ -18,10 +18,14 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dghlab import GridKind, helmholtz, simulate
 from dghlab.experiments import execute
 from dghlab.scenario import load_scenario
+
+from conftest import panel_integrals_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -61,6 +65,18 @@ def test_fixture_covers_every_config():
 def test_config_reproduces_golden_numbers(path):
     want = json.loads(FIXTURE.read_text())[path.name]
     assert_matches(observed(path), want, path.stem)
+
+
+LINE_CONFIGS = [p for p in CONFIGS if load_scenario(p).grid.kind is GridKind.TRUNCATED_LINE]
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=[p.stem for p in LINE_CONFIGS])
+def test_line_config_snapshots_are_bitwise_equal_to_sliding_window_panels(path, monkeypatch):
+    scn = load_scenario(path)
+    got = simulate(scn.sim_config(), scn.u0)
+    monkeypatch.setattr(helmholtz, "_panel_integrals", panel_integrals_reference)
+    want = simulate(scn.sim_config(), scn.u0)
+    assert np.array_equal(got.values_matrix(), want.values_matrix())
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from conftest import (
     green_kernel,
     invert_lambda2_direct,
     invert_lambda2_reference,
+    panel_integrals_reference,
 )
 
 
@@ -260,3 +261,19 @@ def test_line_recursion_agrees_with_sampled_kernel_reference():
     fast = d.invert_lambda2(f)
     slow = invert_lambda2_reference(f)
     assert np.max(np.abs(fast.values - slow.values)) < 1e-4
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 4096])
+def test_line_panel_integrals_are_bitwise_equal_to_sliding_window_oracle(n, monkeypatch):
+    g = d.make_grid(GK.TRUNCATED_LINE, n, 20.0)
+    rng = np.random.default_rng(n)
+    fields = [
+        d.Field(g, rng.normal(size=n)),
+        d.make_profile(g, "bump", space="m", amplitude=0.5, center=0.3, width=1.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", d.BoundaryDecayWarning)
+        got = [op(f).values for f in fields for op in (d.invert_lambda2, d.dx_invert_lambda2)]
+        monkeypatch.setattr(d.helmholtz, "_panel_integrals", panel_integrals_reference)
+        want = [op(f).values for f in fields for op in (d.invert_lambda2, d.dx_invert_lambda2)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -105,6 +105,10 @@ def test_parse_rejects_bad_values():
     doc["solver"]["t_end"] = 0.096
     with pytest.raises(ScenarioError, match=r"options.dts\[1\]: t_end = 0.096 is not an integer"):
         parse_scenario(doc)
+    # the ladder is every run ManufacturedConvergence makes; solver.dt only seeds its default
+    doc["options"] = {"dts": [1.6e-3, 8.0e-4]}
+    doc["solver"]["dt"] = 7.0e-4
+    assert parse_scenario(doc).solver["dt"] == 7.0e-4
     line = {"kind": "line", "n": 64, "half_width": 5.0}
     for section, value, match in [
         ("initial", {"family": "zero", "amplitude": 1.0}, "initial: zero.*'amplitude'"),
@@ -133,6 +137,18 @@ def test_parse_rejects_bad_values():
     doc = _base_doc(grid=line, initial={"family": "cosine"})
     with pytest.raises(ScenarioError, match="initial: cosine initial data needs a periodic grid"):
         parse_scenario(doc)
+    # runs a kind derives from the configured one are held to the same caps
+    doc = _base_doc(kind="DissipativeEquivalence", options={"lambdas": [1e-6]})
+    doc["params"] = {"omega": 0.0, "gamma": 0.0}
+    doc["solver"] = {"dt": 1e-3, "t_end": 8000, "snapshot_stride": 2}
+    with pytest.raises(ScenarioError, match="options.lambdas: the run would store 5.1e.08"):
+        parse_scenario(doc)
+    doc = _base_doc(kind="InvariantAudit", options={"discriminate_h2": True})
+    doc["solver"] = {"dt": 1e-3, "t_end": 6000, "snapshot_stride": 100}
+    with pytest.raises(ScenarioError, match="options.discriminate_h2: t_end / dt = 1.2e.07 steps"):
+        parse_scenario(doc)
+    doc["options"] = {"discriminate_h2": False}
+    assert parse_scenario(doc).options["discriminate_h2"] is False
 
 
 def test_parse_fills_and_normalizes_options():
