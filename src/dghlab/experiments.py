@@ -56,6 +56,7 @@ from .solver import (
 
 if TYPE_CHECKING:
     from .scenario import Scenario
+    from .solver import ForcingFn
 
 __all__ = ["KINDS", "Check", "ExperimentKind", "ExperimentResult", "Kind", "Option", "execute"]
 
@@ -106,8 +107,10 @@ class ExperimentResult:
         return self.metadata.get("termination") == Termination.NON_FINITE.value
 
 
-def _run(scn: Scenario, **overrides) -> Trajectory:
-    return simulate(scn.sim_config(**overrides), scn.u0)
+def _run(scn: Scenario, where: str = "solver.dt", forcing: ForcingFn | None = None) -> Trajectory:
+    """The run the kind's ``runs`` lists under ``where``, as parsing checked it."""
+    overrides = KINDS[scn.kind].runs(scn.solver, scn.options)[where]
+    return simulate(scn.sim_config(**overrides), scn.u0, forcing=forcing)
 
 
 def _record_run(result: ExperimentResult, traj: Trajectory) -> None:
@@ -184,7 +187,7 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
         result.series[f"h2_{variant.value}"] = (s.times, s.values)
 
     if opts["discriminate_h2"]:
-        fine = _run(scn, **_half_step_run(scn.solver))
+        fine = _run(scn, "options.discriminate_h2")
         h2_coarse = {variant: s.drift for variant, s in h2.items()}
         h2_fine = {variant: s.drift for variant, s in _h2_series(fine, scn.params).items()}
         conserved = discriminate_h2(h2_coarse, h2_fine)
@@ -344,11 +347,11 @@ def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
     tol = scn.options["error_tol"]
     result = ExperimentResult()
     t_end = scn.solver["t_end"]
-    conservative = _run(scn, **_undamped_run(scn.solver, scn.options["lambdas"]))
+    conservative = _run(scn, "options.lambdas")
     stop = conservative.termination
     worst_by_lambda = {}
-    for lam in scn.options["lambdas"]:
-        direct = _run(scn, lam=lam)
+    for i, lam in enumerate(scn.options["lambdas"]):
+        direct = _run(scn, f"options.lambdas[{i}]")
         if not result.snapshots:
             _record_run(result, direct)
         name = f"equivalence_lambda_{lam:g}"
@@ -378,17 +381,16 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
     order_tol = opts["order_tol"]
     t_end = scn.solver["t_end"]
 
-    profile = scn.u0
     exact = ManufacturedSolution(
-        u=lambda t, x, v=profile.values: math.exp(-t) * v,
-        u_t=lambda t, x, v=profile.values: -math.exp(-t) * v,
+        u=lambda t, x, v=scn.u0.values: math.exp(-t) * v,
+        u_t=lambda t, x, v=scn.u0.values: -math.exp(-t) * v,
     )
     forcing = manufactured_forcing(exact, scn.params, scn.grid)
 
     result = ExperimentResult()
     errors = []
-    for dt in sorted(opts["dts"], reverse=True):
-        traj = simulate(scn.sim_config(**_ladder_run(scn.solver, dt)), profile, forcing=forcing)
+    for i, dt in sorted(enumerate(opts["dts"]), key=lambda pair: pair[1], reverse=True):
+        traj = _run(scn, f"options.dts[{i}]", forcing=forcing)
         err = float(
             np.max(np.abs(traj.snapshots[-1].values - exact.u(t_end, scn.grid.nodes)))
         )
@@ -446,7 +448,9 @@ class Kind:
     grid: GridKind | None = None  # the grid kind the experiment needs, if any
     params: tuple[Callable[[PhysParams], bool], str] | None = None  # (holds, why)
     # Every run the runner makes, from the solver section and the options:
-    # {config key it comes from: sim_config overrides}.  Parsing checks each.
+    # {config key it comes from: sim_config overrides}.  Parsing checks each,
+    # and the runner starts each through ``_run`` by its key, so a run missing
+    # here fails loudly instead of going unchecked.
     runs: Callable[[dict, dict], dict[str, dict]] = lambda solver, opts: {"solver.dt": {}}
 
 
@@ -522,8 +526,9 @@ KINDS: dict[ExperimentKind, Kind] = {
             "rescaling is exact only for the drift-free member of the family)",
         ),
         runs=lambda solver, opts: {
-            "solver.dt": {},
+            "solver.dt": {},  # checked first, so the solver section's errors name it
             "options.lambdas": _undamped_run(solver, opts["lambdas"]),
+            **{f"options.lambdas[{i}]": {"lam": lam} for i, lam in enumerate(opts["lambdas"])},
         },
     ),
     ExperimentKind.INVARIANT_AUDIT: Kind(

@@ -203,7 +203,7 @@ class _SpectralFactors(NamedTuple):
     ik: np.ndarray  # 2 pi i k, the spectral d/dx
     helmholtz: np.ndarray  # 1 + 4 pi^2 k^2, the symbol of 1 - d^2/dx^2
     keep: np.ndarray  # 1.0 on the modes the 2/3 rule keeps in quadratic products, else 0.0
-    dx: np.ndarray  # ik with the Nyquist mode of an even n zeroed, as odd derivatives do
+    dx: np.ndarray  # ik, zero on an even n's Nyquist mode (no well-defined odd derivative)
     dx_helmholtz: np.ndarray  # dx / helmholtz, the symbol of d/dx Lambda^{-2}
 
 
@@ -234,10 +234,8 @@ def _derivative_periodic(grid: Grid, values: np.ndarray, order: int) -> np.ndarr
 
 def _derivative_spectral(grid: Grid, coef: np.ndarray, order: int) -> np.ndarray:
     """Derivative of the given order from the field's ``rfft`` coefficients, left unchanged."""
-    coef = coef * _spectral_factors(grid).ik ** order
-    if order % 2 == 1 and grid.n % 2 == 0:
-        coef[-1] = 0.0  # the Nyquist mode has no well-defined odd derivative
-    return np.fft.irfft(coef, n=grid.n)
+    sf = _spectral_factors(grid)
+    return np.fft.irfft(coef * (sf.dx if order % 2 == 1 else sf.ik) ** order, n=grid.n)
 
 
 def _fornberg_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:

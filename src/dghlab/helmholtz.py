@@ -58,11 +58,7 @@ def _invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
 
 
 def _dx_invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    sf = _spectral_factors(grid)
-    coef = np.fft.rfft(vals) * sf.ik / sf.helmholtz
-    if grid.n % 2 == 0:
-        coef[-1] = 0.0
-    return np.fft.irfft(coef, n=grid.n)
+    return np.fft.irfft(np.fft.rfft(vals) * _spectral_factors(grid).dx_helmholtz, n=grid.n)
 
 
 # -- truncated-line path ----------------------------------------------------

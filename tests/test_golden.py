@@ -72,6 +72,7 @@ LINE_CONFIGS = [p for p in CONFIGS if load_scenario(p).grid.kind is GridKind.TRU
 
 @pytest.mark.parametrize("path", LINE_CONFIGS, ids=[p.stem for p in LINE_CONFIGS])
 def test_line_config_snapshots_are_bitwise_equal_to_sliding_window_panels(path, monkeypatch):
+    # bitwise for the BLAS and CPU noted at the panel oracle test in test_helmholtz.py
     scn = load_scenario(path)
     got = simulate(scn.sim_config(), scn.u0)
     monkeypatch.setattr(helmholtz, "_panel_integrals", panel_integrals_reference)
