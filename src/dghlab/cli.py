@@ -17,6 +17,7 @@ defaults to ./runs and can be overridden with DGHLAB_OUTPUT_ROOT.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import traceback
@@ -123,21 +124,10 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
         print(payload["trace"], end="", file=sys.stderr)
         return 4
 
-    status = "ok" if result.all_passed else "check_failed"
-    if result.numerical_failure:
-        status = "numerical_failure"
+    rc = 3 if result.numerical_failure else 0 if result.all_passed else 1
     payload.update(
-        status=status,
-        checks=[
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "value": c.value,
-                "threshold": c.threshold,
-                "detail": c.detail,
-            }
-            for c in result.checks
-        ],
+        status={0: "ok", 1: "check_failed", 3: "numerical_failure"}[rc],
+        checks=[dataclasses.asdict(c) for c in result.checks],
         results=result.metadata,
         artifacts=sorted(written),
     )
@@ -146,10 +136,9 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
     for c in result.checks:
         print(c.line())
     print(f"artifacts: {outdir}")
-    if result.numerical_failure:
+    if rc == 3:
         print("numerical failure: the run went non-finite", file=sys.stderr)
-        return 3
-    return 0 if result.all_passed else 1
+    return rc
 
 
 def main(argv: list[str] | None = None) -> int:

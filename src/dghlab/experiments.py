@@ -9,17 +9,20 @@ from it.
 Each runner simulates what its scenario describes, evaluates the scenario's
 assertions as Check records, and returns the tables and snapshots to persist.
 Runners read every option from ``scn.options``, which parsing has validated
-and filled with defaults, and start from ``scn.u0``.  They never raise on a
-numerically failed run (a trajectory that hit the NaN guard is reported, with
-whatever prefix was computed) or on a measurement that finds nothing to
-measure (that is a failed check); they raise only on programming errors.
+and filled with defaults, and start every run from ``scn.u0`` through
+``_run``, with the ``SimConfig`` that parsing planned and checked in
+``scn.runs``; the worst termination of any run decides a numerical failure.
+Runners never raise on a numerically failed run (a trajectory that hit the
+NaN guard is reported, with whatever prefix was computed) or on a
+measurement that finds nothing to measure (that is a failed check); they
+raise only on programming errors.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -47,6 +50,7 @@ from .invariants import (
 from .solver import (
     ManufacturedSolution,
     PhysParams,
+    SimConfig,
     Termination,
     Trajectory,
     manufactured_forcing,
@@ -107,18 +111,24 @@ class ExperimentResult:
         return self.metadata.get("termination") == Termination.NON_FINITE.value
 
 
-def _run(scn: Scenario, where: str = "solver.dt", forcing: ForcingFn | None = None) -> Trajectory:
-    """The run the kind's ``runs`` lists under ``where``, as parsing checked it."""
-    overrides = KINDS[scn.kind].runs(scn.solver, scn.options)[where]
-    return simulate(scn.sim_config(**overrides), scn.u0, forcing=forcing)
-
-
-def _record_run(result: ExperimentResult, traj: Trajectory) -> None:
-    result.metadata["termination"] = traj.termination.value
+def _run(
+    scn: Scenario, result: ExperimentResult, where: str = "solver.dt", forcing: ForcingFn | None = None
+) -> Trajectory:
+    """Simulate the run planned under ``where``.  result keeps the worst termination
+    of the kind's runs (completed < blowup_guard < non_finite) and the first guard time."""
+    traj = simulate(scn.runs[where], scn.u0, forcing=forcing)
+    before = Termination(result.metadata.get("termination", "completed"))
+    worst = max(before, traj.termination, key=list(Termination).index)
+    result.metadata["termination"] = worst.value
     if traj.guard_time is not None:
-        result.metadata["guard_time"] = traj.guard_time
-    for label, snap in (("initial", traj.snapshots[0]), ("final", traj.snapshots[-1])):
-        result.snapshots.append((f"{label}_t{traj.times[0 if label == 'initial' else -1]:g}", snap))
+        result.metadata.setdefault("guard_time", traj.guard_time)
+    return traj
+
+
+def _record_ends(result: ExperimentResult, traj: Trajectory) -> None:
+    """traj's initial and final snapshots, as the run's snapshot artifacts."""
+    result.snapshots.append((f"initial_t{traj.times[0]:g}", traj.snapshots[0]))
+    result.snapshots.append((f"final_t{traj.times[-1]:g}", traj.snapshots[-1]))
 
 
 def _standard_series(result: ExperimentResult, traj: Trajectory) -> list[FunctionalSeries]:
@@ -146,8 +156,8 @@ def _check_completed(result: ExperimentResult, traj: Trajectory) -> None:
 
 def _run_free(scn: Scenario) -> ExperimentResult:
     result = ExperimentResult()
-    traj = _run(scn)
-    _record_run(result, traj)
+    traj = _run(scn, result)
+    _record_ends(result, traj)
     _standard_series(result, traj)
     result.checks.append(
         Check(
@@ -162,8 +172,8 @@ def _run_free(scn: Scenario) -> ExperimentResult:
 def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     opts = scn.options
     result = ExperimentResult()
-    traj = _run(scn)
-    _record_run(result, traj)
+    traj = _run(scn, result)
+    _record_ends(result, traj)
     e, m = _standard_series(result, traj)
     _check_completed(result, traj)
 
@@ -186,8 +196,8 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     for variant, s in h2.items():
         result.series[f"h2_{variant.value}"] = (s.times, s.values)
 
-    if opts["discriminate_h2"]:
-        fine = _run(scn, "options.discriminate_h2")
+    if "options.discriminate_h2" in scn.runs:
+        fine = _run(scn, result, "options.discriminate_h2")
         h2_coarse = {variant: s.drift for variant, s in h2.items()}
         h2_fine = {variant: s.drift for variant, s in _h2_series(fine, scn.params).items()}
         conserved = discriminate_h2(h2_coarse, h2_fine)
@@ -201,9 +211,9 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     return result
 
 
-def _half_step_run(solver: dict) -> dict:
+def _half_step_run(base: SimConfig) -> SimConfig:
     """The InvariantAudit rerun: half the time step, the same snapshot times."""
-    return {"dt": solver["dt"] / 2.0, "snapshot_stride": solver["snapshot_stride"] * 2}
+    return replace(base, dt=base.dt / 2.0, snapshot_stride=base.snapshot_stride * 2)
 
 
 def _h2_series(traj: Trajectory, p: PhysParams) -> dict[H2Variant, FunctionalSeries]:
@@ -213,21 +223,15 @@ def _h2_series(traj: Trajectory, p: PhysParams) -> dict[H2Variant, FunctionalSer
     }
 
 
-def _momentum_shifted(traj: Trajectory, k: int, c: float) -> Field:
-    m = apply_lambda2(traj.snapshots[k])
-    return Field(traj.grid, m.values + c)
-
-
 def _run_support(scn: Scenario) -> ExperimentResult:
     thr_rel = scn.options["support_threshold_rel"]
     margin = scn.options["margin_spacings"]
     result = ExperimentResult()
-    traj = _run(scn)
-    _record_run(result, traj)
+    traj = _run(scn, result)
+    _record_ends(result, traj)
     _check_completed(result, traj)
 
-    c = scn.params.omega + 0.5 * scn.params.gamma
-    m0 = _momentum_shifted(traj, 0, c)
+    m0 = apply_lambda2(traj.snapshots[0])
     if m0.max_abs() == 0.0:
         result.checks.append(
             Check("support_in_characteristic_cone", False, detail="initial momentum is zero")
@@ -245,7 +249,7 @@ def _run_support(scn: Scenario) -> ExperimentResult:
     contained_all = True
     worst_excess = -math.inf
     for k in range(len(traj.times)):
-        mk = _momentum_shifted(traj, k, c)
+        mk = apply_lambda2(traj.snapshots[k])
         rep = support_interval(mk, thr_rel * mk.max_abs())
         lo, hi = rep.interval
         lo_edges.append(lo)
@@ -279,13 +283,12 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
     width = scn.options["window_width"]
     rate_tol = scn.options["rate_tol"]
     result = ExperimentResult()
-    traj = _run(scn)
-    _record_run(result, traj)
+    traj = _run(scn, result)
+    _record_ends(result, traj)
     _check_completed(result, traj)
 
-    c = scn.params.omega + 0.5 * scn.params.gamma
     u_end = traj.snapshots[-1]
-    m_end = _momentum_shifted(traj, len(traj.times) - 1, c)
+    m_end = apply_lambda2(u_end)
     expected = {"right": -1.0, "left": 1.0}
     if m_end.max_abs() == 0.0:
         for side, rate in expected.items():
@@ -311,8 +314,8 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
 def _run_probe(scn: Scenario) -> ExperimentResult:
     tol = scn.options["residual_tol"]
     result = ExperimentResult()
-    traj = _run(scn)
-    _record_run(result, traj)
+    traj = _run(scn, result)
+    _record_ends(result, traj)
     _check_completed(result, traj)
 
     residuals = []
@@ -330,48 +333,48 @@ def _run_probe(scn: Scenario) -> ExperimentResult:
     return result
 
 
-def _undamped_run(solver: dict, lambdas: list[float]) -> dict:
+def _undamped_run(base: SimConfig, lambdas: list[float]) -> SimConfig:
     """The one undamped run of DissipativeEquivalence, to the largest horizon."""
     # tau_max falls as lambda grows, so the smallest lambda's horizon covers all.
-    tau_max = to_conservative_time(solver["t_end"], min(lambdas))
-    n_steps = max(1, int(math.ceil(tau_max / solver["dt"])))
-    return {
-        "lam": 0.0,
-        "dt": tau_max / n_steps,
-        "t_end": tau_max,
-        "snapshot_stride": max(1, solver["snapshot_stride"] // 2),
-    }
+    tau_max = to_conservative_time(base.t_end, min(lambdas))
+    n_steps = max(1, int(math.ceil(tau_max / base.dt)))
+    return replace(
+        base,
+        params=replace(base.params, lam=0.0),
+        dt=tau_max / n_steps,
+        t_end=tau_max,
+        snapshot_stride=max(1, base.snapshot_stride // 2),
+    )
 
 
 def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
     tol = scn.options["error_tol"]
     result = ExperimentResult()
-    t_end = scn.solver["t_end"]
-    conservative = _run(scn, "options.lambdas")
-    stop = conservative.termination
+    conservative = _run(scn, result, "options.lambdas")
     worst_by_lambda = {}
     for i, lam in enumerate(scn.options["lambdas"]):
-        direct = _run(scn, f"options.lambdas[{i}]")
+        direct = _run(scn, result, f"options.lambdas[{i}]")
         if not result.snapshots:
-            _record_run(result, direct)
+            _record_ends(result, direct)
         name = f"equivalence_lambda_{lam:g}"
-        if to_conservative_time(t_end, lam) > conservative.times[-1] + 1e-12:
-            detail = f"undamped run: termination={stop.value}"
-            result.checks.append(Check(name, False, None, tol, detail))
+        if to_conservative_time(scn.solver["t_end"], lam) > conservative.times[-1] + 1e-12:
+            detail = f"undamped run: termination={conservative.termination.value}"
+        elif direct.termination is not Termination.COMPLETED:
+            detail = f"direct run: termination={direct.termination.value}"
+        else:
+            rep = equivalence_report(direct, map_solution(conservative, lam, times=direct.times))
+            worst_by_lambda[lam] = rep.worst
+            result.series[f"equivalence_err_lambda_{lam:g}"] = (rep.times, rep.max_abs)
+            result.checks.append(Check(name, rep.worst < tol, rep.worst, tol))
             continue
-        rep = equivalence_report(direct, map_solution(conservative, lam, times=direct.times))
-        worst_by_lambda[lam] = rep.worst
-        result.series[f"equivalence_err_lambda_{lam:g}"] = (rep.times, rep.max_abs)
-        result.checks.append(Check(name, rep.worst < tol, rep.worst, tol))
-    if stop is Termination.NON_FINITE:
-        result.metadata["termination"] = stop.value
+        result.checks.append(Check(name, False, None, tol, detail))
     result.metadata["max_error_by_lambda"] = {f"{k:g}": v for k, v in worst_by_lambda.items()}
     return result
 
 
-def _ladder_run(solver: dict, dt: float) -> dict:
+def _ladder_run(base: SimConfig, dt: float) -> SimConfig:
     """One ManufacturedConvergence run of the time-step ladder, about 10 snapshots."""
-    return {"dt": dt, "snapshot_stride": max(1, int(round(solver["t_end"] / dt / 10)))}
+    return replace(base, dt=dt, snapshot_stride=max(1, int(round(base.t_end / dt / 10))))
 
 
 def _run_manufactured(scn: Scenario) -> ExperimentResult:
@@ -390,13 +393,13 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
     result = ExperimentResult()
     errors = []
     for i, dt in sorted(enumerate(opts["dts"]), key=lambda pair: pair[1], reverse=True):
-        traj = _run(scn, f"options.dts[{i}]", forcing=forcing)
+        traj = _run(scn, result, f"options.dts[{i}]", forcing=forcing)
         err = float(
             np.max(np.abs(traj.snapshots[-1].values - exact.u(t_end, scn.grid.nodes)))
         )
         errors.append((dt, err))
         if not result.snapshots:
-            _record_run(result, traj)
+            _record_ends(result, traj)
     result.series["error_vs_dt"] = (
         np.array([d for d, _ in errors]),
         np.array([e for _, e in errors]),
@@ -447,11 +450,10 @@ class Kind:
     options: dict[str, Option] = field(default_factory=dict)
     grid: GridKind | None = None  # the grid kind the experiment needs, if any
     params: tuple[Callable[[PhysParams], bool], str] | None = None  # (holds, why)
-    # Every run the runner makes, from the solver section and the options:
-    # {config key it comes from: sim_config overrides}.  Parsing checks each,
-    # and the runner starts each through ``_run`` by its key, so a run missing
-    # here fails loudly instead of going unchecked.
-    runs: Callable[[dict, dict], dict[str, dict]] = lambda solver, opts: {"solver.dt": {}}
+    # Every run the runner makes, {config key it comes from: SimConfig}, from
+    # the configured run and the options.  Parsing calls this once, checks each
+    # run and keeps the plan as ``Scenario.runs``; runners start runs by key.
+    runs: Callable[[SimConfig, dict], dict[str, SimConfig]] = lambda base, opts: {"solver.dt": base}
 
 
 def _tolerance(default: float, help: str) -> Option:
@@ -466,12 +468,12 @@ KINDS: dict[ExperimentKind, Kind] = {
         _run_free,
     ),
     ExperimentKind.SUPPORT_PROPAGATION: Kind(
-        "Start from initial data whose momentum combination m + omega + gamma/2\n"
-        "is a compact bump, track the characteristic paths q(t, .) of the two\n"
-        "support edges (dq/dt = u(t, q) - gamma), and check that the detected\n"
-        "support of m(t) + omega + gamma/2 stays inside the transported cone\n"
-        "[q(t, a) - 3h, q(t, b) + 3h].  The momentum support moves with the\n"
-        "flow; it never spreads ahead of it.",
+        "Start from initial data whose momentum m = u - u_xx is a compact bump,\n"
+        "track the characteristic paths q(t, .) of the two support edges\n"
+        "(dq/dt = u(t, q) - gamma), and check that the detected support of m(t)\n"
+        "stays inside the transported cone [q(t, a) - 3h, q(t, b) + 3h]: it never\n"
+        "spreads ahead of the flow.  Requires gamma = -2 omega, since line data\n"
+        "decay and m + omega + gamma/2 is compact only when omega + gamma/2 = 0.",
         _run_support,
         {
             "support_threshold_rel": Option(
@@ -480,14 +482,15 @@ KINDS: dict[ExperimentKind, Kind] = {
             "margin_spacings": Option(float, 3.0, help="slack of the cone, in grid spacings"),
         },
         grid=GridKind.TRUNCATED_LINE,
+        params=(continuation_regime, "SupportPropagation requires gamma = -2 omega"),
     ),
     ExperimentKind.TAIL_FORMATION: Kind(
-        "Evolve compactly supported initial data briefly on the truncated line\n"
-        "(with gamma = -2 omega) and fit the decay rate of ln|u| in windows\n"
-        "outside the momentum support.  The velocity field instantly develops\n"
-        "pure exponential tails: rate -1 on the right, +1 on the left, because\n"
-        "outside the momentum support u is an exponentially weighted moment of\n"
-        "the momentum.",
+        "Evolve compactly supported momentum data briefly on the truncated line\n"
+        "and fit the decay rate of ln|u| in windows outside the momentum\n"
+        "support.  The velocity field instantly develops pure exponential tails:\n"
+        "rate -1 on the right, +1 on the left, because outside the momentum\n"
+        "support u is an exponentially weighted moment of the momentum.  Like\n"
+        "SupportPropagation it requires gamma = -2 omega.",
         _run_tails,
         {
             "window_offset": Option(float, 3.0, help="gap between support and fit window"),
@@ -495,6 +498,7 @@ KINDS: dict[ExperimentKind, Kind] = {
             "rate_tol": _tolerance(0.05, "allowed deviation of each rate from -1 / +1"),
         },
         grid=GridKind.TRUNCATED_LINE,
+        params=(continuation_regime, "TailFormation requires gamma = -2 omega"),
     ),
     ExperimentKind.CONTINUATION_PROBE: Kind(
         "For gamma = -2 omega the equation is equivalent to the pointwise\n"
@@ -525,10 +529,13 @@ KINDS: dict[ExperimentKind, Kind] = {
             "DissipativeEquivalence requires omega = gamma = 0 (the exponential "
             "rescaling is exact only for the drift-free member of the family)",
         ),
-        runs=lambda solver, opts: {
-            "solver.dt": {},  # checked first, so the solver section's errors name it
-            "options.lambdas": _undamped_run(solver, opts["lambdas"]),
-            **{f"options.lambdas[{i}]": {"lam": lam} for i, lam in enumerate(opts["lambdas"])},
+        runs=lambda base, opts: {
+            "solver.dt": base,  # checked first, so the solver section's errors name it
+            "options.lambdas": _undamped_run(base, opts["lambdas"]),
+            **{
+                f"options.lambdas[{i}]": replace(base, params=replace(base.params, lam=lam))
+                for i, lam in enumerate(opts["lambdas"])
+            },
         },
     ),
     ExperimentKind.INVARIANT_AUDIT: Kind(
@@ -544,9 +551,9 @@ KINDS: dict[ExperimentKind, Kind] = {
             "mass_tol": _tolerance(1e-8, "bound on the relative mass drift"),
             "discriminate_h2": Option(bool, False, help="rerun at dt/2 to find the cubic invariant"),
         },
-        runs=lambda solver, opts: {
-            "solver.dt": {},
-            **({"options.discriminate_h2": _half_step_run(solver)} if opts["discriminate_h2"] else {}),
+        runs=lambda base, opts: {
+            "solver.dt": base,
+            **({"options.discriminate_h2": _half_step_run(base)} if opts["discriminate_h2"] else {}),
         },
     ),
     ExperimentKind.MANUFACTURED_CONVERGENCE: Kind(
@@ -568,8 +575,8 @@ KINDS: dict[ExperimentKind, Kind] = {
             "order_tol": _tolerance(0.2, "allowed deviation of each pair's order"),
         },
         grid=GridKind.PERIODIC,
-        runs=lambda solver, opts: {
-            f"options.dts[{i}]": _ladder_run(solver, dt) for i, dt in enumerate(opts["dts"])
+        runs=lambda base, opts: {
+            f"options.dts[{i}]": _ladder_run(base, dt) for i, dt in enumerate(opts["dts"])
         },
     ),
 }

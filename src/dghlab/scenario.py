@@ -2,18 +2,19 @@
 
 Every field is validated before the run and unknown keys are rejected, so a
 typo in a config never silently changes an experiment.  Parsing builds the
-run's grid, parameters and initial data, so a scenario that parses can run.
-The options, grid and parameter constraints of each kind come from
-``experiments.KINDS``; the parsed scenario carries every option of its kind,
-defaults filled in.  See the README for the schema and ``dghlab describe
-<kind>`` for the options.
+grid, parameters and initial data, and the ``SimConfig`` of every run the
+kind makes, each checked by ``check_run``, so a scenario that parses can run.
+The options, grid and parameter constraints and the run plan of each kind
+come from ``experiments.KINDS``; the parsed scenario carries every option of
+its kind, defaults filled in, and its run plan as ``Scenario.runs``.  See
+the README for the schema and ``dghlab describe <kind>`` for the options.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -46,12 +47,9 @@ class Scenario:
     u0: Field
     solver: dict
     options: dict = field(default_factory=dict)
+    # every run the kind makes, by the config key it comes from, as parsing checked it
+    runs: dict[str, SimConfig] = field(default_factory=dict)
     output_dir: str | None = None
-
-    def sim_config(self, lam: float | None = None, **overrides) -> SimConfig:
-        """The scenario's solver settings, with a damping rate or any of them replaced."""
-        params = self.params if lam is None else replace(self.params, lam=lam)
-        return SimConfig(self.grid, params, **{**self.solver, **overrides})
 
     def echo(self) -> dict:
         """Plain-data copy of the configuration for run metadata."""
@@ -122,7 +120,11 @@ def _option(name: str, opt: Option, v):
     if opt.type is list:
         if not isinstance(v, list) or not v:
             raise ScenarioError(f"{where} must be a nonempty list of numbers, got {v!r}")
-        return [_bounded(f"{where}[{i}]", opt, x) for i, x in enumerate(v)]
+        values = [_bounded(f"{where}[{i}]", opt, x) for i, x in enumerate(v)]
+        spelled = [f"{x:g}" for x in values]  # as check names and result keys spell them
+        if len(set(spelled)) < len(spelled):
+            raise ScenarioError(f"{where} must not repeat an entry, got {spelled}")
+        return values
     return _bounded(where, opt, v)
 
 
@@ -141,8 +143,9 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
     Value types are checked here; every other rule is left to the
     constructors of the run's objects (grid, parameters, initial data, solver
     settings) and to ``check_run``, whose errors become ScenarioErrors.
-    ``check_run`` sees every run the kind's runner makes (``Kind.runs``), so
-    a scenario that parses can run.
+    ``Kind.runs`` plans every run the kind's runner makes from the configured
+    one, ``check_run`` sees each, and the scenario keeps the plan, so a
+    scenario that parses can run.
     """
     doc = _require_mapping(doc, source)
     _reject_unknown(doc, _TOP_KEYS, source)
@@ -201,18 +204,17 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
         where = "initial"
         u0 = make_profile(grid, family, space, **profile)
         where = "solver"
-        scn = Scenario(name, kind, grid, params, initial, u0, solver, options, output_dir)
-        scn.sim_config()  # the solver section's own rules, reported under "solver"
+        runs = spec.runs(SimConfig(grid, params, **solver), options)
         with warnings.catch_warnings():  # simulate warns when the run starts
             warnings.simplefilter("ignore", CflWarning)
-            for where, overrides in spec.runs(solver, options).items():
-                check_run(scn.sim_config(**overrides), u0)
+            for where, config in runs.items():
+                check_run(config, u0)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
     if spec.params is not None and not spec.params[0](params):
         raise ScenarioError(spec.params[1])
-    return scn
+    return Scenario(name, kind, grid, params, initial, u0, solver, options, runs, output_dir)
 
 
 def load_scenario(path) -> Scenario:

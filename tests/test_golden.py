@@ -1,8 +1,10 @@
 """Golden numbers: every shipped config reproduces its recorded checks and results.
 
 ``golden_configs.json`` holds, per file in ``configs/``, the checks (name,
-passed, value) and the ``results`` mapping that ``execute`` returned when the
-fixture was recorded.  A refactor that leaves the arithmetic alone reproduces
+passed, value), the ``results`` mapping that ``execute`` returned when the
+fixture was recorded, and the names of the series and the labels of the
+snapshots, which the CLI writes as ``series_<name>.csv`` and
+``snapshot_<label>.csv``.  A refactor that leaves the arithmetic alone reproduces
 them to rounding; anything else shows up here before it shows up as a failed
 threshold.  After a deliberate change of the numbers, rewrite the fixture with
 
@@ -33,12 +35,21 @@ FIXTURE = Path(__file__).resolve().parent / "golden_configs.json"
 
 
 def observed(path: Path) -> dict:
-    """Checks and results of one config, as plain JSON data."""
+    """Checks, results, series names and snapshot labels of one config, as plain JSON data."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = execute(load_scenario(path))
     checks = [{"name": c.name, "passed": c.passed, "value": c.value} for c in result.checks]
-    return json.loads(json.dumps({"checks": checks, "results": result.metadata}))
+    return json.loads(
+        json.dumps(
+            {
+                "checks": checks,
+                "results": result.metadata,
+                "series": sorted(result.series),
+                "snapshots": [label for label, _ in result.snapshots],
+            }
+        )
+    )
 
 
 def assert_matches(got, want, where: str) -> None:
@@ -74,9 +85,9 @@ LINE_CONFIGS = [p for p in CONFIGS if load_scenario(p).grid.kind is GridKind.TRU
 def test_line_config_snapshots_are_bitwise_equal_to_sliding_window_panels(path, monkeypatch):
     # bitwise for the BLAS and CPU noted at the panel oracle test in test_helmholtz.py
     scn = load_scenario(path)
-    got = simulate(scn.sim_config(), scn.u0)
+    got = simulate(scn.runs["solver.dt"], scn.u0)
     monkeypatch.setattr(helmholtz, "_panel_integrals", panel_integrals_reference)
-    want = simulate(scn.sim_config(), scn.u0)
+    want = simulate(scn.runs["solver.dt"], scn.u0)
     assert np.array_equal(got.values_matrix(), want.values_matrix())
 
 

@@ -97,6 +97,14 @@ def test_parse_rejects_bad_values():
     doc["options"] = {"lambdas": [0]}
     with pytest.raises(ScenarioError, match=r"lambdas\[0\] must be > 0"):
         parse_scenario(doc)
+    # list entries are told apart by their :g spelling, which names checks and result keys
+    doc["options"] = {"lambdas": [0.5, 0.5000001]}
+    repeated = r"lambdas must not repeat an entry, got \['0.5', '0.5'\]"
+    with pytest.raises(ScenarioError, match=repeated):
+        parse_scenario(doc)
+    doc = _base_doc(kind="ManufacturedConvergence", options={"dts": [3.2e-3, 3.2e-3]})
+    with pytest.raises(ScenarioError, match="options.dts must not repeat an entry"):
+        parse_scenario(doc)
     doc = _base_doc()
     doc["solver"]["t_end"] = 0.0505
     with pytest.raises(ScenarioError, match="solver.dt: t_end = 0.0505 is not an integer"):
@@ -178,9 +186,14 @@ def test_parse_kind_specific_constraints():
     doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}
     with pytest.raises(ScenarioError, match="periodic"):
         parse_scenario(doc)
+    line = {"kind": "line", "n": 64, "half_width": 5.0}
     for kind in ("SupportPropagation", "TailFormation"):
         with pytest.raises(ScenarioError, match=f"{kind} runs on line grids"):
             parse_scenario(_base_doc(kind=kind))
+        # decaying line data have a compact m + omega + gamma/2 only for gamma = -2 omega
+        with pytest.raises(ScenarioError, match=f"{kind} requires gamma = -2 omega"):
+            parse_scenario(_base_doc(kind=kind, grid=line, params={"omega": 0.1, "gamma": 0.0}))
+        assert parse_scenario(_base_doc(kind=kind, grid=line)).params.gamma == -0.2
 
 
 def test_load_scenario_io_errors(tmp_path):
@@ -469,6 +482,88 @@ def test_dissipative_equivalence_fails_lambdas_beyond_a_short_undamped_run(monke
     assert not checks["equivalence_lambda_0.1"].passed
     assert checks["equivalence_lambda_0.1"].detail == "undamped run: termination=blowup_guard"
     assert checks["equivalence_lambda_0.5"].passed and checks["equivalence_lambda_1"].passed
+
+
+def _cut_short(target, termination):
+    """simulate, except that the run of SimConfig target stops halfway with termination."""
+
+    def cut(cfg, u0, **kw):
+        traj = d.simulate(cfg, u0, **kw)
+        if cfg != target:
+            return traj
+        keep = len(traj.times) // 2
+        guarded = termination is d.Termination.BLOWUP_GUARD
+        return replace(
+            traj,
+            times=traj.times[:keep],
+            snapshots=traj.snapshots[:keep],
+            termination=termination,
+            guard_time=float(traj.times[keep - 1]) if guarded else None,
+        )
+
+    return cut
+
+
+@pytest.mark.parametrize(
+    "kind, where",
+    [
+        ("InvariantAudit", "options.discriminate_h2"),
+        ("ManufacturedConvergence", "options.dts[1]"),
+        ("DissipativeEquivalence", "options.lambdas[1]"),
+    ],
+)
+def test_a_later_run_going_non_finite_exits_three(tmp_path, monkeypatch, kind, where):
+    doc = _base_doc(name="later", kind=kind, initial={"family": "cosine", "amplitude": 0.05})
+    if kind == "InvariantAudit":
+        doc["options"] = {"discriminate_h2": True}
+    if kind == "ManufacturedConvergence":
+        doc["solver"] = {"dt": 8.0e-4, "t_end": 0.096, "snapshot_stride": 12}
+        doc["options"] = {"dts": [1.6e-3, 8.0e-4]}
+    if kind == "DissipativeEquivalence":
+        doc["params"] = {"omega": 0.0, "gamma": 0.0}
+        doc["solver"]["t_end"] = 0.1
+    plan = parse_scenario(doc).runs
+    assert list(plan).index(where) > 0  # a run after the first
+    cut = _cut_short(plan[where], d.Termination.NON_FINITE)
+    monkeypatch.setattr("dghlab.experiments.simulate", cut)
+    cfg = _write(tmp_path, doc)
+    assert run_scenario(cfg, output_root=str(tmp_path / "out")) == 3
+    meta = json.loads((tmp_path / "out" / "later" / "metadata.json").read_text())
+    assert meta["status"] == "numerical_failure"
+    assert meta["results"]["termination"] == "non_finite"
+
+
+def test_dissipative_equivalence_fails_a_lambda_whose_direct_run_stopped(monkeypatch):
+    scn = _equivalence_scenario(0.1)
+    cut = _cut_short(scn.runs["options.lambdas[1]"], d.Termination.BLOWUP_GUARD)
+    monkeypatch.setattr("dghlab.experiments.simulate", cut)
+    result = execute(scn)
+    checks = {c.name: c for c in result.checks}
+    assert not checks["equivalence_lambda_0.5"].passed
+    assert checks["equivalence_lambda_0.5"].detail == "direct run: termination=blowup_guard"
+    assert checks["equivalence_lambda_0.1"].passed and checks["equivalence_lambda_1"].passed
+    assert result.metadata["termination"] == "blowup_guard"
+    assert result.metadata["guard_time"] == 0.04
+    assert "0.5" not in result.metadata["max_error_by_lambda"]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_runners_start_only_the_planned_runs(path, monkeypatch):
+    scn = load_scenario(path)
+    started = []
+
+    def recording(cfg, u0, **kw):
+        started.append(cfg)
+        return d.simulate(cfg, u0, **kw)
+
+    monkeypatch.setattr("dghlab.experiments.simulate", recording)
+    execute(scn)
+    planned = list(scn.runs.values())
+    assert started and all(any(cfg is run for run in planned) for cfg in started)
+    assert len({id(cfg) for cfg in started}) == len(started)  # each run starts once
 
 
 def test_manufactured_scenario(tmp_path):
