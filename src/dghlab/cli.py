@@ -9,7 +9,8 @@ Verbs:
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 invalid
 configuration, found before anything runs; 3 numerical failure (partial
 artifacts are kept); 4 an unexpected error, whose traceback goes to stderr
-and to metadata.json.  Config numbers must be finite, and the keys of the
+and to metadata.json.  A reader that closes stdout early does not change
+the exit code.  Config numbers must be finite, and the keys of the
 ``initial`` section are the parameters of its family.  The output root
 defaults to ./runs and can be overridden with DGHLAB_OUTPUT_ROOT.
 """
@@ -133,9 +134,7 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
     )
     write_metadata(meta_path, payload)
 
-    for c in result.checks:
-        print(c.line())
-    print(f"artifacts: {outdir}")
+    _emit("\n".join([*(c.line() for c in result.checks), f"artifacts: {outdir}"]))
     if rc == 3:
         print("numerical failure: the run went non-finite", file=sys.stderr)
     return rc
@@ -159,19 +158,29 @@ def main(argv: list[str] | None = None) -> int:
     if args.verb == "run":
         return run_scenario(args.config, args.output_root)
     if args.verb == "list":
-        print(list_kinds())
+        _emit(list_kinds())
         return 0
     if args.verb == "describe":
         try:
-            print(describe(args.kind))
+            text = describe(args.kind)
         except ScenarioError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        _emit(text)
         return 0
     if args.verb == "version":
-        print(__version__)
+        _emit(__version__)
         return 0
     return 2
+
+
+def _emit(text: str) -> None:
+    """Print text to stdout; if the reader has closed it, drop the rest quietly."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Send later writes, and the flush at exit, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def entrypoint() -> None:

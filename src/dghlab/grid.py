@@ -205,6 +205,7 @@ class _SpectralFactors(NamedTuple):
     keep: np.ndarray  # 1.0 on the modes the 2/3 rule keeps in quadratic products, else 0.0
     dx: np.ndarray  # ik, zero on an even n's Nyquist mode (no well-defined odd derivative)
     dx_helmholtz: np.ndarray  # dx / helmholtz, the symbol of d/dx Lambda^{-2}
+    decode: np.ndarray  # the rows [1, dx]: one irfft of decode * u^ gives u and u_x
 
 
 @lru_cache(maxsize=32)
@@ -222,6 +223,7 @@ def _spectral_factors(grid: Grid) -> _SpectralFactors:
         keep=(k <= grid.n / 3.0).astype(float),
         dx=dx,
         dx_helmholtz=dx / helmholtz,
+        decode=np.stack([np.ones_like(dx), dx]),
     )
     for a in factors:
         a.setflags(write=False)
@@ -229,13 +231,9 @@ def _spectral_factors(grid: Grid) -> _SpectralFactors:
 
 
 def _derivative_periodic(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
-    return _derivative_spectral(grid, np.fft.rfft(values), order)
-
-
-def _derivative_spectral(grid: Grid, coef: np.ndarray, order: int) -> np.ndarray:
-    """Derivative of the given order from the field's ``rfft`` coefficients, left unchanged."""
     sf = _spectral_factors(grid)
-    return np.fft.irfft(coef * (sf.dx if order % 2 == 1 else sf.ik) ** order, n=grid.n)
+    symbol = (sf.dx if order % 2 == 1 else sf.ik) ** order
+    return np.fft.irfft(np.fft.rfft(values) * symbol, n=grid.n)
 
 
 def _fornberg_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:

@@ -15,18 +15,25 @@ momentum balance, i.e. simply ``-lambda * u`` after inverting the Helmholtz
 operator; the one right-hand side applies it whenever ``lambda > 0``.
 
 Quadratic products on periodic grids are dealiased with the 2/3 rule.  On
-the circle the whole right-hand side is one Fourier-space expression ending
-in a single ``irfft`` (five FFTs per evaluation); on the line it is stepped
-term by term with the P/Q recurrence.  Time integration is the classical
-four-stage Runge-Kutta scheme with a gradient guard that converts wave
-breaking into a measurable event.
+the circle the state is the ``rfft`` coefficients of u and the right-hand
+side is one Fourier-space expression: one ``irfft`` of ``[1, ik] u^``
+decodes u and u_x, and one ``rfft`` takes both products (and a forcing, when
+given) together.  On the line the state is u itself, stepped term by term
+with the P/Q recurrence.  Time integration is the classical four-stage
+Runge-Kutta scheme with a gradient guard that converts wave breaking into a
+measurable event.
 
-``simulate`` steps plain value arrays through one array right-hand side,
-which ``rhs_nonlocal`` wraps for Fields, with the same arithmetic.  Each
-step's result is checked once for NaN/Inf and, on the line, for boundary
-decay; only recorded snapshots are built as validated Fields.  The
-gradient guard's u_x is reused as the next step's first-stage u_x, which
-saves that stage's u_x transform on the circle.
+``simulate`` steps that state as a plain array through the one right-hand
+side ``_rhs``, which ``rhs_nonlocal`` wraps for Fields.  After each step one
+decode gives the u and u_x that the NaN/Inf check, the gradient guard, the
+snapshot Field and the next step's first stage all use: 8 batched FFT calls
+per step on the circle, with or without forcing.  On the line each step's
+state is also checked for boundary decay.  Snapshots are bitwise equal to
+stepping Fields with ``step_rk4`` and ``rhs_nonlocal`` on the line, and
+within 1e-13 of max|u| on the circle, where the two states round
+differently.  A step starts at the previous step's end ``t + dt``, the same
+float its last stage used, so a memoized forcing is evaluated once per
+distinct stage time: 201 times for 100 steps.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
@@ -42,7 +50,6 @@ from .grid import (
     Field,
     Grid,
     _check_boundary_decay,
-    _derivative_spectral,
     _derivative_values,
     _spectral_factors,
 )
@@ -133,46 +140,58 @@ class Trajectory:
         return np.stack([s.values for s in self.snapshots])
 
 
-def _rhs(grid: Grid, u: np.ndarray, p: PhysParams, ux: np.ndarray | None = None) -> np.ndarray:
-    """The right-hand side on plain node values; ``ux``, when given, is u's d/dx."""
+def _rhs(grid: Grid, v: np.ndarray, p: PhysParams, rows=None) -> np.ndarray:
+    """du/dt of the state v: u's ``rfft`` coefficients on the circle, u itself on the line.
+
+    ``rows``, when given, holds ``_decode(grid, v)``, the node values u and
+    u_x, optionally followed by a forcing f to add to du/dt.  On the circle,
+    with K the 2/3 keep-mask, D = ik and G = ik / (1 + 4 pi^2 k^2),
+
+        dv = (gamma D - (2 omega + gamma) G - lam) v - K ((u u_x)^ + G (u^2 + u_x^2/2)^) + f^,
+
+    with one ``rfft`` of the stacked products and f: one FFT per evaluation,
+    two when ``rows`` must be decoded first.
+    """
+    u, ux, *f = _decode(grid, v) if rows is None else rows
     if grid.is_periodic:
-        du = _rhs_periodic(grid, u, p, ux)
-    else:
-        if ux is None:
-            ux = _derivative_values(grid, u, 1)
-        advect = u * ux
-        quad = u**2 + 0.5 * ux**2
-        nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
-        du = -advect + p.gamma * ux - nonlocal_term
+        sf = _spectral_factors(grid)
+        # n stated, as perfbench's FFT counter takes len(a), the row count, otherwise
+        prods = np.fft.rfft([u * ux, u**2 + 0.5 * ux**2, *f], n=grid.n)
+        du = _linear_symbol(grid, p) * v
+        du -= sf.keep * (prods[0] + sf.dx_helmholtz * prods[1])
+        return (du + prods[2]) if f else du
+    advect = u * ux
+    quad = u**2 + 0.5 * ux**2
+    nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
+    du = -advect + p.gamma * ux - nonlocal_term
     if p.lam > 0:
         du = du - p.lam * u
-    return du
+    return (du + f[0]) if f else du
 
 
-def _rhs_periodic(grid: Grid, u: np.ndarray, p: PhysParams, ux: np.ndarray | None) -> np.ndarray:
-    """The undamped right-hand side on the circle as one Fourier-space expression.
-
-    With K the 2/3 keep-mask, D = ik and G = ik / (1 + 4 pi^2 k^2),
-
-        du^ = gamma D u^ - K (u ux)^ - G (K (u^2 + ux^2/2)^ + (2 omega + gamma) u^),
-
-    so one ``irfft`` ends the evaluation: five FFTs, four when ``ux`` is given.
-    """
+@lru_cache(maxsize=32)
+def _linear_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
+    """gamma D - (2 omega + gamma) G - lam, the read-only multiplier of v in ``_rhs``."""
     sf = _spectral_factors(grid)
-    u_hat = np.fft.rfft(u)
-    if ux is None:
-        ux = _derivative_spectral(grid, u_hat, 1)
-    coef = np.fft.rfft(u * ux)
-    coef += sf.dx_helmholtz * np.fft.rfft(u**2 + 0.5 * ux**2)
-    coef *= sf.keep
-    coef += ((2.0 * p.omega + p.gamma) * sf.dx_helmholtz - p.gamma * sf.dx) * u_hat
-    return -np.fft.irfft(coef, n=grid.n)
+    symbol = p.gamma * sf.dx - (2.0 * p.omega + p.gamma) * sf.dx_helmholtz - p.lam
+    symbol.setflags(write=False)
+    return symbol
+
+
+def _decode(grid: Grid, v: np.ndarray):
+    """The node values u and u_x of the state v; one ``irfft`` on the circle."""
+    if grid.is_periodic:
+        return np.fft.irfft(_spectral_factors(grid).decode * v, n=grid.n)
+    return v, _derivative_values(grid, v, 1)
 
 
 def rhs_nonlocal(u: Field, p: PhysParams) -> Field:
     """Time derivative of u in the nonlocal form, damped by lam * u when lam > 0."""
-    _check_boundary_decay(u.grid, u.values, "rhs_nonlocal")
-    return Field(u.grid, _rhs(u.grid, u.values, p))
+    grid = u.grid
+    _check_boundary_decay(grid, u.values, "rhs_nonlocal")
+    if grid.is_periodic:
+        return Field(grid, np.fft.irfft(_rhs(grid, np.fft.rfft(u.values), p), n=grid.n))
+    return Field(grid, _rhs(grid, u.values, p))
 
 
 State = TypeVar("State", Field, np.ndarray)
@@ -260,18 +279,26 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
     grid, p, dt = config.grid, config.params, config.dt
 
     def rhs_t(t: float, v: np.ndarray) -> np.ndarray:
-        # Stage 1 starts from the state u whose u_x the gradient guard just took.
-        du = _rhs(grid, v, p, ux if v is u else None)
-        return du if forcing is None else du + forcing(t)
+        # Stage 1 starts from the state whose rows the step's checks just decoded.
+        stage_rows = rows if v is state else _decode(grid, v)
+        if forcing is not None:
+            stage_rows = (*stage_rows, forcing(t))
+        return _rhs(grid, v, p, stage_rows)
 
     times = [0.0]
     snaps = [u0]
     termination = Termination.COMPLETED
     guard_time = None
-    u, ux = u0.values, None
+    state = np.fft.rfft(u0.values) if grid.is_periodic else u0.values
+    rows = _decode(grid, state)
     warned = False
+    t = 0.0
     for step in range(1, n_steps + 1):
-        u = step_rk4(u, (step - 1) * dt, dt, rhs_t)
+        # t + dt is the float stage 4 used, so the next stage 1 repeats it exactly
+        state = step_rk4(state, t, dt, rhs_t)
+        t = t + dt
+        rows = _decode(grid, state)
+        u, ux = rows
         if not np.all(np.isfinite(u)):
             # NaN/Inf in any stage reaches u: keep the finite prefix.
             termination = Termination.NON_FINITE
@@ -280,7 +307,6 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
             warned = _check_boundary_decay(grid, u, "simulate")
         t_now = step * dt
         record = step % config.snapshot_stride == 0 or step == n_steps
-        ux = _derivative_values(grid, u, 1)
         if np.max(np.abs(ux)) > config.blowup_guard:
             termination = Termination.BLOWUP_GUARD
             guard_time = t_now

@@ -10,7 +10,8 @@ threshold.  After a deliberate change of the numbers, rewrite the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change description why the numbers moved.
+which prints every value that moved as ``config.path: old -> new``, and
+say in the change description why the numbers moved.
 """
 
 from __future__ import annotations
@@ -52,24 +53,58 @@ def observed(path: Path) -> dict:
     )
 
 
-def assert_matches(got, want, where: str) -> None:
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), where
-        for key in want:
-            assert_matches(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, f"{where}[{i}]")
-    elif isinstance(want, float) and not isinstance(got, bool):
-        assert isinstance(got, (int, float)), where
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-14), f"{where}: {got!r} != {want!r}"
+def flatten(doc, where: str) -> dict:
+    """The leaves of a JSON document by path, ``where.key`` in mappings and
+    ``where[i]`` in lists; an empty mapping or list is a leaf."""
+    if isinstance(doc, dict) and doc:
+        items = ((f"{where}.{key}", value) for key, value in doc.items())
+    elif isinstance(doc, list) and doc:
+        items = ((f"{where}[{i}]", value) for i, value in enumerate(doc))
     else:
-        assert got == want and type(got) is type(want), f"{where}: {got!r} != {want!r}"
+        return {where: doc}
+    return {path: leaf for sub, value in items for path, leaf in flatten(value, sub).items()}
+
+
+def assert_matches(got, want, where: str) -> None:
+    got, want = flatten(got, where), flatten(want, where)
+    assert sorted(got) == sorted(want), where
+    for path, w in want.items():
+        g = got[path]
+        if isinstance(w, float) and not isinstance(g, bool):
+            assert isinstance(g, (int, float)), path
+            assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-14), f"{path}: {g!r} != {w!r}"
+        else:
+            assert g == w and type(g) is type(w), f"{path}: {g!r} != {w!r}"
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """``config.path: old -> new`` for every leaf that differs between two fixtures."""
+    lines = []
+    for name in new:
+        stem = Path(name).stem
+        was = flatten(old[name], stem) if name in old else {}
+        now = flatten(new[name], stem)
+        for path in [*now, *(path for path in was if path not in now)]:
+            a, b = was.get(path, "absent"), now.get(path, "absent")
+            if type(a) is not type(b) or a != b:
+                lines.append(f"{path}: {a!r} -> {b!r}")
+    return lines
 
 
 def test_fixture_covers_every_config():
     assert sorted(json.loads(FIXTURE.read_text())) == [p.name for p in CONFIGS]
+
+
+def test_moved_lists_every_changed_leaf():
+    name, stem = CONFIGS[0].name, CONFIGS[0].stem
+    old = {name: {"checks": [{"value": 1.0}, {"value": 2}], "gone": [], "same": "x"}}
+    new = {name: {"checks": [{"value": 1.5}, {"value": 2.0}], "added": {}, "same": "x"}}
+    assert moved(old, new) == [
+        f"{stem}.checks[0].value: 1.0 -> 1.5",
+        f"{stem}.checks[1].value: 2 -> 2.0",
+        f"{stem}.added: 'absent' -> {{}}",
+        f"{stem}.gone: [] -> 'absent'",
+    ]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -92,5 +127,8 @@ def test_line_config_snapshots_are_bitwise_equal_to_sliding_window_panels(path, 
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({p.name: observed(p) for p in CONFIGS}, indent=1) + "\n")
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    new = {p.name: observed(p) for p in CONFIGS}
+    FIXTURE.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {FIXTURE}")
+    print("\n".join(moved(old, new)) or "no value moved")

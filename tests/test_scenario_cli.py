@@ -244,6 +244,31 @@ def test_module_entry_point_runs():
         assert out.stdout.strip() == d.__version__
 
 
+def test_a_closed_stdout_ends_quietly_with_the_verbs_exit_code(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(d.__file__).resolve().parents[1])}
+    failing = _base_doc(name="impossible", kind="InvariantAudit", initial={"family": "cosine"})
+    failing["options"] = {"energy_tol": 1e-30}
+    out = str(tmp_path / "out")
+    for argv, code in [
+        (["describe", "FreeRun"], 0),
+        (["list"], 0),
+        (["version"], 0),
+        (["run", str(_write(tmp_path, _base_doc())), "--output-root", out], 0),
+        (["run", str(_write(tmp_path, failing, "fail.yaml")), "--output-root", out], 1),
+    ]:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dghlab", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code, argv
+        assert "Error" not in proc.stderr and "Traceback" not in proc.stderr, argv
+
+
 # -- CLI run: exit codes and artifacts ----------------------------------------
 
 
