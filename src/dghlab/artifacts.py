@@ -22,8 +22,10 @@ __all__ = [
 ]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header, then one row per index of the float columns."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_metadata(path: Path, payload: dict) -> Path:
@@ -37,10 +39,7 @@ def write_series_csv(path: Path, times, values) -> Path:
     """Time series with columns t, value, drift."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["t,value,drift"]
-    for t, v, drift in zip(times, values, relative_drift(values)):
-        lines.append(f"{_fmt(t)},{_fmt(v)},{_fmt(drift)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_csv("t,value,drift", times, values, relative_drift(values)))
     return path
 
 
@@ -48,10 +47,7 @@ def write_snapshot_csv(path: Path, x, u, m) -> Path:
     """Field snapshot with columns x, u, m."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["x,u,m"]
-    for xi, ui, mi in zip(np.asarray(x), np.asarray(u), np.asarray(m)):
-        lines.append(f"{_fmt(xi)},{_fmt(ui)},{_fmt(mi)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_csv("x,u,m", x, u, m))
     return path
 
 

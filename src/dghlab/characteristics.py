@@ -9,14 +9,24 @@ and measures the residual of that identity.
 The integral in the stretch factor is taken along the path, s -> q(s, x).
 Snapshots are interpolated cubically in space and linearly in time, and the
 seed positions are advanced with the same Runge-Kutta scheme the solver uses.
+
+The splines are built a block of ``_BLOCK = 8`` snapshots at a time, with one
+``CubicSpline`` solve per block, the first time a snapshot of the block is
+sampled. Building a block drops every block but the one before it, so a
+forward sweep solves each block once and at most three blocks are alive:
+the previous block, and the new block's solve output and its copy into
+contiguous per-snapshot arrays (plus the solver's work arrays while it
+runs). Memory is O(8 n) per sampled column instead of O(n_t n), and the
+samples are bitwise equal to one spline per snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .grid import Field, derivative
 from .helmholtz import apply_lambda2
@@ -47,31 +57,64 @@ class CharacteristicPaths:
         return self.exit_index < len(self.times)
 
 
+_BLOCK = 8  # snapshots per spline solve
+
+
 class _SnapshotInterpolant:
-    """Cubic-in-space, linear-in-time sampler of a trajectory's snapshots."""
+    """Cubic-in-space, linear-in-time sampler of columns of a trajectory's snapshots.
 
-    def __init__(self, traj: Trajectory, fields: list[Field]):
+    Each column maps a snapshot Field to its node values; ``blend`` returns
+    one row per column.
+    """
+
+    def __init__(self, traj: Trajectory, columns: tuple[Callable[[Field], np.ndarray], ...]):
         grid = traj.grid
+        self._snapshots = traj.snapshots
+        self._columns = columns
         self._periodic = grid.is_periodic
-        if self._periodic:
-            xk = np.append(grid.nodes, grid.length)
-            self._splines = [
-                CubicSpline(xk, np.append(f.values, f.values[0]), bc_type="periodic")
-                for f in fields
-            ]
-        else:
-            self._splines = [CubicSpline(grid.nodes, f.values) for f in fields]
-        self.x_lo = grid.nodes[0]
-        self.x_hi = grid.nodes[-1]
+        self._x = np.append(grid.nodes, grid.length) if self._periodic else grid.nodes
+        self._blocks: dict[int, list[PPoly]] = {}
 
-    def _reduce(self, q: np.ndarray) -> np.ndarray:
-        return np.mod(q, 1.0) if self._periodic else q
+    def _build(self, b: int) -> list[PPoly]:
+        snaps = self._snapshots[b * _BLOCK : (b + 1) * _BLOCK]
+        block = np.stack([np.stack([col(f) for col in self._columns], axis=-1) for f in snaps])
+        if self._periodic:
+            block = np.concatenate((block, block[:, :1]), axis=1)
+            c = CubicSpline(self._x, block, axis=1, bc_type="periodic").c
+        else:
+            c = CubicSpline(self._x, block, axis=1).c
+        # PPoly copies non-contiguous coefficients on every call
+        c = np.ascontiguousarray(np.moveaxis(c, 2, 0))
+        # "periodic" maps q = 1.0 (np.mod of a tiny negative q) to 0.0, as the
+        # per-snapshot periodic CubicSpline does
+        extrapolate = "periodic" if self._periodic else True
+        return [PPoly.construct_fast(ck, self._x, extrapolate) for ck in c]
+
+    def _spline(self, k: int) -> PPoly:
+        b, i = divmod(k, _BLOCK)
+        block = self._blocks.get(b)
+        if block is None:
+            self._blocks = {j: v for j, v in self._blocks.items() if j == b - 1}
+            block = self._blocks[b] = self._build(b)
+        return block[i]
 
     def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
-        qr = self._reduce(q)
+        qr = np.mod(q, 1.0) if self._periodic else q
         if theta == 0.0:
-            return self._splines[k](qr)
-        return (1.0 - theta) * self._splines[k](qr) + theta * self._splines[k + 1](qr)
+            return self._spline(k)(qr).T
+        return ((1.0 - theta) * self._spline(k)(qr) + theta * self._spline(k + 1)(qr)).T
+
+
+def _values(f: Field) -> np.ndarray:
+    return f.values
+
+
+def _slope(f: Field) -> np.ndarray:
+    return derivative(f, 1).values
+
+
+def _momentum(f: Field) -> np.ndarray:
+    return apply_lambda2(f).values
 
 
 def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
@@ -82,8 +125,7 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
         if np.any(seeds < grid.nodes[0]) or np.any(seeds > grid.nodes[-1]):
             raise ValueError("seeds must lie inside the grid")
     gamma = traj.config.params.gamma
-    u_itp = _SnapshotInterpolant(traj, list(traj.snapshots))
-    ux_itp = _SnapshotInterpolant(traj, [derivative(f, 1) for f in traj.snapshots])
+    itp = _SnapshotInterpolant(traj, (_values, _slope))
 
     n_t = len(traj.times)
     n_s = seeds.size
@@ -95,18 +137,20 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
 
     active = np.ones(n_s, dtype=bool)
     for k in range(n_t - 1):
+        if not np.any(active):
+            break
         dt = traj.times[k + 1] - traj.times[k]
 
         def rate(t: float, qw: np.ndarray) -> np.ndarray:
             # (q, log q_x)' = (u - gamma, u_x) at the blend t / dt of snapshots k, k+1
-            theta, pos = t / dt, qw[0]
-            return np.array((u_itp.blend(k, theta, pos) - gamma, ux_itp.blend(k, theta, pos)))
+            u, ux = itp.blend(k, t / dt, qw[0])
+            return np.array((u - gamma, ux))
 
         q[k + 1, active], w[k + 1, active] = step_rk4(
             np.array((q[k, active], w[k, active])), 0.0, dt, rate
         )
         if not grid.is_periodic:
-            out = (q[k + 1] < u_itp.x_lo) | (q[k + 1] > u_itp.x_hi)
+            out = (q[k + 1] < grid.nodes[0]) | (q[k + 1] > grid.nodes[-1])
             newly = out & active
             if np.any(newly):
                 exit_index[newly] = k + 1
@@ -121,11 +165,12 @@ class TransportResidual:
     """Largest residual of the transport identity at each snapshot time."""
 
     times: np.ndarray
-    max_abs: np.ndarray  # max over the seeds still inside the domain, per time
+    max_abs: np.ndarray  # max over the seeds still inside the domain, NaN once none is
 
     @property
     def worst(self) -> float:
-        return float(np.max(self.max_abs))
+        # fmax skips the NaN of the times after every seed has left
+        return float(np.fmax.reduce(self.max_abs))
 
 
 def transport_residual(
@@ -139,15 +184,15 @@ def transport_residual(
     if len(paths.times) != len(traj.times) or np.any(paths.times != traj.times):
         raise ValueError("paths were not computed from this trajectory")
     c = p.omega + 0.5 * p.gamma
-    m_fields = [apply_lambda2(f) for f in traj.snapshots]
-    m_itp = _SnapshotInterpolant(traj, m_fields)
-    m0_at_seeds = m_itp.blend(0, 0.0, paths.seeds)
+    m_itp = _SnapshotInterpolant(traj, (_momentum,))
+    (m0_at_seeds,) = m_itp.blend(0, 0.0, paths.seeds)
 
-    n_t = len(traj.times)
-    res = np.full_like(paths.q, np.nan)
-    for k in range(n_t):
+    max_abs = np.full(len(traj.times), np.nan)
+    for k in range(len(traj.times)):
         valid = paths.exit_index > k
-        mq = m_itp.blend(k, 0.0, paths.q[k, valid])
-        res[k, valid] = (m0_at_seeds[valid] + c) - (mq + c) * paths.qx[k, valid] ** 2
-    max_abs = np.nanmax(np.abs(res), axis=1)
+        if not np.any(valid):
+            break
+        (mq,) = m_itp.blend(k, 0.0, paths.q[k, valid])
+        res = (m0_at_seeds[valid] + c) - (mq + c) * paths.qx[k, valid] ** 2
+        max_abs[k] = np.fmax.reduce(np.abs(res))
     return TransportResidual(traj.times.copy(), max_abs)

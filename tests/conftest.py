@@ -152,3 +152,77 @@ def panel_integrals_reference(grid, vals: np.ndarray) -> tuple[np.ndarray, np.nd
     A[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_a))
     B[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_b))
     return A, B
+
+
+# -- one spline per snapshot: the oracle for the block-streamed interpolant ---
+
+
+class PerSnapshotInterpolant:
+    """One ``CubicSpline`` per snapshot Field, all built up front."""
+
+    def __init__(self, grid, fields):
+        from scipy.interpolate import CubicSpline
+
+        self._periodic = grid.is_periodic
+        if self._periodic:
+            xk = np.append(grid.nodes, grid.length)
+            self._splines = [
+                CubicSpline(xk, np.append(f.values, f.values[0]), bc_type="periodic")
+                for f in fields
+            ]
+        else:
+            self._splines = [CubicSpline(grid.nodes, f.values) for f in fields]
+
+    def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
+        qr = np.mod(q, 1.0) if self._periodic else q
+        if theta == 0.0:
+            return self._splines[k](qr)
+        return (1.0 - theta) * self._splines[k](qr) + theta * self._splines[k + 1](qr)
+
+
+def evolve_characteristics_reference(traj: d.Trajectory, seeds) -> tuple:
+    """``evolve_characteristics`` on per-snapshot splines: (q, qx, exit_index)."""
+    grid = traj.grid
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+    gamma = traj.config.params.gamma
+    u_itp = PerSnapshotInterpolant(grid, traj.snapshots)
+    ux_itp = PerSnapshotInterpolant(grid, [d.derivative(f, 1) for f in traj.snapshots])
+    n_t = len(traj.times)
+    q = np.full((n_t, seeds.size), np.nan)
+    w = np.full((n_t, seeds.size), np.nan)
+    exit_index = np.full(seeds.size, n_t, dtype=int)
+    q[0] = seeds
+    w[0] = 0.0
+    active = np.ones(seeds.size, dtype=bool)
+    for k in range(n_t - 1):
+        dt = traj.times[k + 1] - traj.times[k]
+
+        def rate(t, qw):
+            theta, pos = t / dt, qw[0]
+            return np.array((u_itp.blend(k, theta, pos) - gamma, ux_itp.blend(k, theta, pos)))
+
+        q[k + 1, active], w[k + 1, active] = d.step_rk4(
+            np.array((q[k, active], w[k, active])), 0.0, dt, rate
+        )
+        if not grid.is_periodic:
+            newly = ((q[k + 1] < grid.nodes[0]) | (q[k + 1] > grid.nodes[-1])) & active
+            exit_index[newly] = k + 1
+            q[k + 1, newly] = np.nan
+            w[k + 1, newly] = np.nan
+            active = active & ~newly
+    return q, np.exp(w), exit_index
+
+
+def transport_residual_reference(traj: d.Trajectory, paths, p: d.PhysParams) -> np.ndarray:
+    """``transport_residual(...).max_abs`` on per-snapshot splines."""
+    c = p.omega + 0.5 * p.gamma
+    m_itp = PerSnapshotInterpolant(traj.grid, [d.apply_lambda2(f) for f in traj.snapshots])
+    m0 = m_itp.blend(0, 0.0, paths.seeds)
+    res = np.full_like(paths.q, np.nan)
+    for k in range(len(traj.times)):
+        valid = paths.exit_index > k
+        mq = m_itp.blend(k, 0.0, paths.q[k, valid])
+        res[k, valid] = (m0[valid] + c) - (mq + c) * paths.qx[k, valid] ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # All-NaN rows once every seed left
+        return np.nanmax(np.abs(res), axis=1)

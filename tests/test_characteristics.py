@@ -1,10 +1,20 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import dghlab as d
+import dghlab.characteristics as ch
 from dghlab import GridKind as GK
 
-from conftest import run, subsample
+from conftest import (
+    PerSnapshotInterpolant,
+    evolve_characteristics_reference,
+    run,
+    subsample,
+    transport_residual_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +142,110 @@ def test_momentum_sign_preserved_along_paths():
         spline = CubicSpline(g.nodes, m.values)
         vals = spline(paths.q[k]) + p.omega + 0.5 * p.gamma
         assert np.all(vals > -1e-6)
+
+
+def _line_case(t_end):
+    # bump drifting right at about 2: the seeds at 19.0 and 19.5 leave mid-run
+    g = d.make_grid(GK.TRUNCATED_LINE, 256, 20.0)
+    p = d.PhysParams(0.0, -2.0)
+    u0 = d.make_profile(g, "bump", space="m", amplitude=0.5, width=1.0)
+    cfg = d.SimConfig(g, p, dt=1e-2, t_end=t_end, snapshot_stride=5)
+    return run(cfg, u0), p, [-1.0, 0.0, 19.0, 19.5]
+
+
+def _circle_case(t_end):
+    g = d.make_grid(GK.PERIODIC, 128)
+    p = d.PhysParams(0.1, -0.2)
+    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    cfg = d.SimConfig(g, p, dt=1e-3, t_end=t_end, snapshot_stride=5)
+    # np.mod(-1e-20, 1.0) is exactly 1.0: the periodic spline must map it to 0.0
+    return run(cfg, u0), p, [-1e-20, 0.3, 0.7]
+
+
+# n_t = 21 is not a multiple of the block size 8; n_t = 5 is less than one block
+STREAM_CASES = {
+    "line_21": (_line_case, 1.0),
+    "line_5": (_line_case, 0.2),
+    "circle_21": (_circle_case, 0.1),
+    "circle_5": (_circle_case, 0.02),
+}
+
+
+@pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_block_streamed_splines_match_per_snapshot_splines_bitwise(case):
+    make, t_end = STREAM_CASES[case]
+    traj, p, seeds = make(t_end)
+    assert len(traj.times) == (21 if case.endswith("21") else 5)
+    columns = (ch._values, ch._slope, ch._momentum)
+    itp = ch._SnapshotInterpolant(traj, columns)
+    refs = [
+        PerSnapshotInterpolant(traj.grid, [d.Field(traj.grid, col(f)) for f in traj.snapshots])
+        for col in columns
+    ]
+    q = np.array(seeds)
+    for k in range(len(traj.times) - 1):
+        for theta in (0.0, 0.5, 1.0):
+            want = [ref.blend(k, theta, q) for ref in refs]
+            np.testing.assert_array_equal(itp.blend(k, theta, q), want)
+    paths = d.evolve_characteristics(traj, seeds)
+    q, qx, exit_index = evolve_characteristics_reference(traj, seeds)
+    np.testing.assert_array_equal(paths.q, q)
+    np.testing.assert_array_equal(paths.qx, qx)
+    np.testing.assert_array_equal(paths.exit_index, exit_index)
+    np.testing.assert_array_equal(
+        d.transport_residual(traj, paths, p).max_abs, transport_residual_reference(traj, paths, p)
+    )
+    if case == "line_21":
+        assert paths.exited[2] and 0 < paths.exit_index[2] < len(traj.times) - 1
+    if case.startswith("circle"):
+        assert np.mod(seeds[0], 1.0) == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
+@pytest.mark.parametrize("case", ["line_21", "circle_21"])
+def test_one_spline_solve_per_block_and_at_most_two_blocks_held(case, monkeypatch):
+    make, t_end = STREAM_CASES[case]
+    traj, p, seeds = make(t_end)
+    solves = []
+    held = []
+    cubic_spline = ch.CubicSpline
+
+    def counting_spline(*args, **kw):
+        solves.append(args[1].shape)
+        return cubic_spline(*args, **kw)
+
+    class Spy(ch._SnapshotInterpolant):
+        def _build(self, b):
+            out = super()._build(b)
+            held.append(len(self._blocks) + 1)  # the blocks kept and the new one
+            return out
+
+    monkeypatch.setattr(ch, "_SnapshotInterpolant", Spy)
+    monkeypatch.setattr(ch, "CubicSpline", counting_spline)
+    n_blocks = math.ceil(len(traj.times) / ch._BLOCK)
+    paths = d.evolve_characteristics(traj, seeds)
+    assert len(solves) == n_blocks
+    assert [s[0] for s in solves] == [8, 8, 5]  # u and u_x of 8 + 8 + 5 snapshots
+    assert all(s[-1] == 2 for s in solves)
+    solves.clear()
+    d.transport_residual(traj, paths, p)
+    assert len(solves) == n_blocks
+    assert max(held) <= 2
+
+
+def test_worst_skips_the_times_after_every_seed_has_left():
+    g = d.make_grid(GK.TRUNCATED_LINE, 256, 5.0)
+    p = d.PhysParams(0.0, -2.0)  # the zero solution drifts right at speed 2
+    cfg = d.SimConfig(g, p, dt=1e-3, t_end=0.05, snapshot_stride=1)
+    traj = run(cfg, d.Field.zeros(g))
+    paths = d.evolve_characteristics(traj, [g.nodes[-1] - 1e-4])
+    k_exit = paths.exit_index[0]
+    assert 0 < k_exit < len(traj.times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = d.transport_residual(traj, paths, p)
+        worst = tr.worst
+    assert np.all(np.isnan(tr.max_abs[k_exit:]))
+    assert np.all(np.isfinite(tr.max_abs[:k_exit]))
+    assert worst == np.max(tr.max_abs[:k_exit])
