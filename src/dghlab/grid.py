@@ -205,7 +205,6 @@ class _SpectralFactors(NamedTuple):
     keep: np.ndarray  # 1.0 on the modes the 2/3 rule keeps in quadratic products, else 0.0
     dx: np.ndarray  # ik, zero on an even n's Nyquist mode (no well-defined odd derivative)
     dx_helmholtz: np.ndarray  # dx / helmholtz, the symbol of d/dx Lambda^{-2}
-    decode: np.ndarray  # the rows [1, dx]: one irfft of decode * u^ gives u and u_x
 
 
 @lru_cache(maxsize=32)
@@ -223,7 +222,6 @@ def _spectral_factors(grid: Grid) -> _SpectralFactors:
         keep=(k <= grid.n / 3.0).astype(float),
         dx=dx,
         dx_helmholtz=dx / helmholtz,
-        decode=np.stack([np.ones_like(dx), dx]),
     )
     for a in factors:
         a.setflags(write=False)

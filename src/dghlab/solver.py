@@ -24,16 +24,16 @@ Runge-Kutta scheme with a gradient guard that converts wave breaking into a
 measurable event.
 
 ``simulate`` steps that state as a plain array through the one right-hand
-side ``_rhs``, which ``rhs_nonlocal`` wraps for Fields.  After each step one
-decode gives the u and u_x that the NaN/Inf check, the gradient guard, the
-snapshot Field and the next step's first stage all use: 8 batched FFT calls
-per step on the circle, with or without forcing.  On the line each step's
-state is also checked for boundary decay.  Snapshots are bitwise equal to
-stepping Fields with ``step_rk4`` and ``rhs_nonlocal`` on the line, and
-within 1e-13 of max|u| on the circle, where the two states round
-differently.  A step starts at the previous step's end ``t + dt``, the same
-float its last stage used, so a memoized forcing is evaluated once per
-distinct stage time: 201 times for 100 steps.
+side, which ``_kernel`` binds once per run and ``rhs_nonlocal`` wraps for
+Fields.  After each step one decode gives the u and u_x that the NaN/Inf
+check, the gradient guard, the snapshot Field and the next step's first
+stage all use: 8 batched FFT calls per step on the circle, with or without
+forcing.  On the line each step's state is also checked for boundary decay.
+Snapshots are bitwise equal to stepping Fields with ``step_rk4`` and
+``rhs_nonlocal`` on the line, and within 1e-13 of max|u| on the circle,
+where the two states round differently.  A step starts at the previous
+step's end ``t + dt``, the same float its last stage used, so a memoized
+forcing is evaluated once per distinct stage time: 201 times for 100 steps.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, TypeVar
 
 import numpy as np
@@ -140,58 +139,60 @@ class Trajectory:
         return np.stack([s.values for s in self.snapshots])
 
 
-def _rhs(grid: Grid, v: np.ndarray, p: PhysParams, rows=None) -> np.ndarray:
-    """du/dt of the state v: u's ``rfft`` coefficients on the circle, u itself on the line.
+def _kernel(grid: Grid, p: PhysParams) -> tuple[Callable, Callable]:
+    """The one right-hand side as ``(decode, rhs)``, with its factors bound once.
 
-    ``rows``, when given, holds ``_decode(grid, v)``, the node values u and
-    u_x, optionally followed by a forcing f to add to du/dt.  On the circle,
-    with K the 2/3 keep-mask, D = ik and G = ik / (1 + 4 pi^2 k^2),
+    The state v is u's ``rfft`` coefficients on the circle and u on the line.
+    ``decode(v)`` gives the rows u and u_x; ``rhs(v, rows)`` is du/dt, with
+    ``rows`` optionally followed by a forcing f.  On the circle, with K the
+    2/3 keep-mask, D = ik and G = ik / (1 + 4 pi^2 k^2),
 
         dv = (gamma D - (2 omega + gamma) G - lam) v - K ((u u_x)^ + G (u^2 + u_x^2/2)^) + f^,
 
-    with one ``rfft`` of the stacked products and f: one FFT per evaluation,
-    two when ``rows`` must be decoded first.
+    where one ``irfft`` of ``[1, D] v`` decodes and one ``rfft`` takes the products and f.
     """
-    u, ux, *f = _decode(grid, v) if rows is None else rows
     if grid.is_periodic:
         sf = _spectral_factors(grid)
-        # n stated, as perfbench's FFT counter takes len(a), the row count, otherwise
-        prods = np.fft.rfft([u * ux, u**2 + 0.5 * ux**2, *f], n=grid.n)
-        du = _linear_symbol(grid, p) * v
-        du -= sf.keep * (prods[0] + sf.dx_helmholtz * prods[1])
-        return (du + prods[2]) if f else du
-    advect = u * ux
-    quad = u**2 + 0.5 * ux**2
-    nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
-    du = -advect + p.gamma * ux - nonlocal_term
-    if p.lam > 0:
-        du = du - p.lam * u
-    return (du + f[0]) if f else du
+        symbol = p.gamma * sf.dx - (2.0 * p.omega + p.gamma) * sf.dx_helmholtz - p.lam
+        decode_rows = np.stack([np.ones_like(sf.dx), sf.dx])
 
+        def decode(v):
+            return np.fft.irfft(decode_rows * v, n=grid.n)
 
-@lru_cache(maxsize=32)
-def _linear_symbol(grid: Grid, p: PhysParams) -> np.ndarray:
-    """gamma D - (2 omega + gamma) G - lam, the read-only multiplier of v in ``_rhs``."""
-    sf = _spectral_factors(grid)
-    symbol = p.gamma * sf.dx - (2.0 * p.omega + p.gamma) * sf.dx_helmholtz - p.lam
-    symbol.setflags(write=False)
-    return symbol
+        def rhs(v, rows):
+            u, ux, *f = rows
+            # n stated, as perfbench's FFT counter takes len(a), the row count, otherwise
+            prods = np.fft.rfft([u * ux, u**2 + 0.5 * ux**2, *f], n=grid.n)
+            du = symbol * v
+            du -= sf.keep * (prods[0] + sf.dx_helmholtz * prods[1])
+            return (du + prods[2]) if f else du
 
+        return decode, rhs
 
-def _decode(grid: Grid, v: np.ndarray):
-    """The node values u and u_x of the state v; one ``irfft`` on the circle."""
-    if grid.is_periodic:
-        return np.fft.irfft(_spectral_factors(grid).decode * v, n=grid.n)
-    return v, _derivative_values(grid, v, 1)
+    def decode(v):
+        return v, _derivative_values(grid, v, 1)
+
+    def rhs(v, rows):
+        u, ux, *f = rows
+        advect = u * ux
+        quad = u**2 + 0.5 * ux**2
+        nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
+        du = -advect + p.gamma * ux - nonlocal_term
+        if p.lam > 0:
+            du = du - p.lam * u
+        return (du + f[0]) if f else du
+
+    return decode, rhs
 
 
 def rhs_nonlocal(u: Field, p: PhysParams) -> Field:
     """Time derivative of u in the nonlocal form, damped by lam * u when lam > 0."""
     grid = u.grid
     _check_boundary_decay(grid, u.values, "rhs_nonlocal")
-    if grid.is_periodic:
-        return Field(grid, np.fft.irfft(_rhs(grid, np.fft.rfft(u.values), p), n=grid.n))
-    return Field(grid, _rhs(grid, u.values, p))
+    decode, rhs = _kernel(grid, p)
+    v = np.fft.rfft(u.values) if grid.is_periodic else u.values
+    du = rhs(v, decode(v))
+    return Field(grid, np.fft.irfft(du, n=grid.n) if grid.is_periodic else du)
 
 
 State = TypeVar("State", Field, np.ndarray)
@@ -276,28 +277,29 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
     BoundaryDecayWarning per run.
     """
     n_steps = check_run(config, u0)
-    grid, p, dt = config.grid, config.params, config.dt
+    grid, dt = config.grid, config.dt
+    decode, rhs = _kernel(grid, config.params)
 
     def rhs_t(t: float, v: np.ndarray) -> np.ndarray:
         # Stage 1 starts from the state whose rows the step's checks just decoded.
-        stage_rows = rows if v is state else _decode(grid, v)
+        stage_rows = rows if v is state else decode(v)
         if forcing is not None:
             stage_rows = (*stage_rows, forcing(t))
-        return _rhs(grid, v, p, stage_rows)
+        return rhs(v, stage_rows)
 
     times = [0.0]
     snaps = [u0]
     termination = Termination.COMPLETED
     guard_time = None
     state = np.fft.rfft(u0.values) if grid.is_periodic else u0.values
-    rows = _decode(grid, state)
+    rows = decode(state)
     warned = False
     t = 0.0
     for step in range(1, n_steps + 1):
         # t + dt is the float stage 4 used, so the next stage 1 repeats it exactly
         state = step_rk4(state, t, dt, rhs_t)
         t = t + dt
-        rows = _decode(grid, state)
+        rows = decode(state)
         u, ux = rows
         if not np.all(np.isfinite(u)):
             # NaN/Inf in any stage reaches u: keep the finite prefix.

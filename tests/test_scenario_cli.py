@@ -338,7 +338,13 @@ def test_run_failing_check_exit_one(tmp_path, capsys):
 
 def test_run_numerical_failure_exit_three(tmp_path, capsys, monkeypatch):
     # the run goes non-finite while stepping: every right-hand side is NaN
-    monkeypatch.setattr("dghlab.solver._rhs", lambda grid, u, p, ux=None: np.full_like(u, np.nan))
+    kernel = d.solver._kernel
+
+    def nan_kernel(grid, p):
+        decode, _ = kernel(grid, p)
+        return decode, lambda v, rows: np.full_like(v, np.nan)
+
+    monkeypatch.setattr(d.solver, "_kernel", nan_kernel)
     doc = _base_doc(name="blowup")
     doc["initial"] = {"family": "gaussian", "amplitude": 1.0, "width": 1.0}
     doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}

@@ -159,6 +159,23 @@ def test_rhs_fft_counts(monkeypatch):
     }
 
 
+def test_spectral_factors_looked_up_once_per_run(monkeypatch):
+    lookups = []
+    factors = d.solver._spectral_factors
+    monkeypatch.setattr(d.solver, "_spectral_factors", lambda g: lookups.append(1) or factors(g))
+    g = d.make_grid(GK.PERIODIC, 64)
+    p = d.PhysParams(0.1, -0.3, lam=0.5)
+    u = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    push = lambda t: np.full(g.n, 1e-3)
+    counts = {}
+    for steps in (1, 10):
+        for forcing in (None, push):
+            lookups.clear()
+            d.simulate(d.SimConfig(g, p, dt=1e-3, t_end=steps * 1e-3), u, forcing)
+            counts[steps, forcing is None] = len(lookups)
+    assert counts[1, True] == counts[10, True] == counts[1, False] == counts[10, False] >= 1
+
+
 def test_rhs_dissipative_reduces_and_adds_damping(pgrid):
     rng = np.random.default_rng(2)
     u = band_limited(pgrid, 16, 0.1, rng)
