@@ -10,7 +10,8 @@ Each runner simulates what its scenario describes, evaluates the scenario's
 assertions as Check records, and returns the tables and snapshots to persist.
 Runners read every option from ``scn.options``, which parsing has validated
 and filled with defaults, and start every run from ``scn.u0`` through
-``_run``, with the ``SimConfig`` that parsing planned and checked in
+``_run`` (or ``_run_batch``, which steps DissipativeEquivalence's runs as
+one state), with the ``SimConfig`` that parsing planned and checked in
 ``scn.runs``; the worst termination of any run decides a numerical failure.
 Runners never raise on a numerically failed run (a trajectory that hit the
 NaN guard is reported, with whatever prefix was computed) or on a
@@ -53,6 +54,7 @@ from .solver import (
     SimConfig,
     Termination,
     Trajectory,
+    _simulate_rows,
     manufactured_forcing,
     rhs_nonlocal,
     simulate,
@@ -114,15 +116,28 @@ class ExperimentResult:
 def _run(
     scn: Scenario, result: ExperimentResult, where: str = "solver.dt", forcing: ForcingFn | None = None
 ) -> Trajectory:
-    """Simulate the run planned under ``where``.  result keeps the worst termination
-    of the kind's runs (completed < blowup_guard < non_finite) and the first guard time."""
+    """Simulate the run planned under ``where`` and fold its termination into result."""
     traj = simulate(scn.runs[where], scn.u0, forcing=forcing)
+    _fold_termination(result, traj)
+    return traj
+
+
+def _run_batch(scn: Scenario, result: ExperimentResult, wheres: list[str]) -> list[Trajectory]:
+    """``_run`` of each run planned under ``wheres``, stepped as one batch and folded in order."""
+    trajs = _simulate_rows([scn.runs[where] for where in wheres], scn.u0)
+    for traj in trajs:
+        _fold_termination(result, traj)
+    return trajs
+
+
+def _fold_termination(result: ExperimentResult, traj: Trajectory) -> None:
+    """result keeps the worst termination of the kind's runs
+    (completed < blowup_guard < non_finite) and the first guard time."""
     before = Termination(result.metadata.get("termination", "completed"))
     worst = max(before, traj.termination, key=list(Termination).index)
     result.metadata["termination"] = worst.value
     if traj.guard_time is not None:
         result.metadata.setdefault("guard_time", traj.guard_time)
-    return traj
 
 
 def _record_ends(result: ExperimentResult, traj: Trajectory) -> None:
@@ -349,11 +364,12 @@ def _undamped_run(base: SimConfig, lambdas: list[float]) -> SimConfig:
 
 def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
     tol = scn.options["error_tol"]
+    lambdas = scn.options["lambdas"]
     result = ExperimentResult()
-    conservative = _run(scn, result, "options.lambdas")
+    wheres = [f"options.lambdas[{i}]" for i in range(len(lambdas))]
+    conservative, *directs = _run_batch(scn, result, ["options.lambdas", *wheres])
     worst_by_lambda = {}
-    for i, lam in enumerate(scn.options["lambdas"]):
-        direct = _run(scn, result, f"options.lambdas[{i}]")
+    for lam, direct in zip(lambdas, directs):
         if not result.snapshots:
             _record_ends(result, direct)
         name = f"equivalence_lambda_{lam:g}"
@@ -514,11 +530,12 @@ KINDS: dict[ExperimentKind, Kind] = {
     ),
     ExperimentKind.DISSIPATIVE_EQUIVALENCE: Kind(
         "Simulate the weakly damped equation (damping lambda * (u - u_xx))\n"
-        "directly for each lambda, then rebuild the same solution through the\n"
-        "exponential clock change u(t, x) = exp(-lambda t) v(tau, x) with\n"
-        "tau = (1 - exp(-lambda t))/lambda from one undamped run, taken to the\n"
-        "horizon of the smallest lambda, and report the per-time difference.\n"
-        "Requires omega = gamma = 0, where the change of variables is exact.",
+        "for each lambda, and one undamped run to the horizon of the smallest\n"
+        "lambda, all stepped together as one batch.  Rebuild each damped\n"
+        "solution from the undamped run through the exponential clock change\n"
+        "u(t, x) = exp(-lambda t) v(tau, x) with tau = (1 - exp(-lambda t))/lambda\n"
+        "and report the per-time difference.  Requires omega = gamma = 0,\n"
+        "where the change of variables is exact.",
         _run_dissipative_equivalence,
         {
             "lambdas": Option(list, [0.1, 0.5, 1.0], low=0.0, help="damping rates to compare"),

@@ -180,9 +180,9 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> bool:
-    """Warn, pointing at the caller's caller, when truncated-line values have
-    not decayed at the boundary; return whether it warned."""
+def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str, stacklevel: int = 3) -> bool:
+    """Warn, pointing at the caller's caller (or ``stacklevel`` frames up), when
+    truncated-line values have not decayed at the boundary; return whether it warned."""
     if grid.is_periodic:
         return False
     peak = np.max(np.abs(values))
@@ -194,7 +194,7 @@ def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> bool:
         f"{BOUNDARY_DECAY_RATIO:g} * max|f| = {BOUNDARY_DECAY_RATIO * peak:.3e}; "
         "truncated-line results may be polluted by the cut-off",
         BoundaryDecayWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
     return True
 

@@ -25,10 +25,16 @@ measurable event.
 
 ``simulate`` steps that state as a plain array through the one right-hand
 side, which ``_kernel`` binds once per run and ``rhs_nonlocal`` wraps for
-Fields.  After each step one decode gives the u and u_x that the NaN/Inf
-check, the gradient guard, the snapshot Field and the next step's first
-stage all use: 8 batched FFT calls per step on the circle, with or without
-forcing.  On the line each step's state is also checked for boundary decay.
+Fields.  The array has a leading row axis: ``_simulate_rows`` steps several
+runs that share the grid, omega, gamma and u0 as one (rows, m) state, each
+row with its own lam, dt, step count, stride and guard, and ``simulate`` is
+its one-row call.  After each step one decode gives the u and u_x that each
+row's NaN/Inf check, gradient guard, snapshot Field and the next step's
+first stage all use: 8 batched FFT calls per step on the circle for the
+whole batch, with or without forcing.  A row that ends, goes non-finite or
+trips its guard leaves the batch, and its trajectory is bitwise the one its
+own ``simulate`` gives.  On the line the kernel runs row by row, and each
+row's state is also checked for boundary decay.
 Snapshots are bitwise equal to stepping Fields with ``step_rk4`` and
 ``rhs_nonlocal`` on the line, and within 1e-13 of max|u| on the circle,
 where the two states round differently.  A step starts at the previous
@@ -41,7 +47,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -139,47 +145,61 @@ class Trajectory:
         return np.stack([s.values for s in self.snapshots])
 
 
-def _kernel(grid: Grid, p: PhysParams) -> tuple[Callable, Callable]:
-    """The one right-hand side as ``(decode, rhs)``, with its factors bound once.
+def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callable]:
+    """The one right-hand side as ``(decode, rhs)`` for a (rows, m) state.
 
-    The state v is u's ``rfft`` coefficients on the circle and u on the line.
-    ``decode(v)`` gives the rows u and u_x; ``rhs(v, rows)`` is du/dt, with
-    ``rows`` optionally followed by a forcing f.  On the circle, with K the
-    2/3 keep-mask, D = ik and G = ik / (1 + 4 pi^2 k^2),
+    Row i is stepped with ``params[i]``: the rows share the omega and gamma
+    of ``params[0]``, and each has its own lam.  The state v holds one row
+    per run: u's ``rfft`` coefficients on the circle, u itself on the line.
+    ``decode(v)`` gives the pair (u, u_x), each with a leading row axis;
+    ``rhs(v, rows)`` is du/dt, with ``rows`` optionally followed by an (r, n)
+    forcing f.  On the circle, with K the 2/3 keep-mask, D = ik and
+    G = ik / (1 + 4 pi^2 k^2),
 
         dv = (gamma D - (2 omega + gamma) G - lam) v - K ((u u_x)^ + G (u^2 + u_x^2/2)^) + f^,
 
-    where one ``irfft`` of ``[1, D] v`` decodes and one ``rfft`` takes the products and f.
+    where lam is a column of the symbol, one ``irfft`` of the (2, r, m)
+    ``[1, D] v`` decodes every row, and one ``rfft`` of the (2 or 3, r, n)
+    products and f takes them all.  On the line the 1-D stencil and P/Q
+    kernel is applied row by row.
     """
+    p = params[0]
     if grid.is_periodic:
         sf = _spectral_factors(grid)
-        symbol = p.gamma * sf.dx - (2.0 * p.omega + p.gamma) * sf.dx_helmholtz - p.lam
-        decode_rows = np.stack([np.ones_like(sf.dx), sf.dx])
+        lam = np.array([[q.lam] for q in params])
+        symbol = p.gamma * sf.dx - (2.0 * p.omega + p.gamma) * sf.dx_helmholtz - lam
+        decode_rows = np.stack([np.ones_like(sf.dx), sf.dx])[:, None]
+        # One row per run, so that each product meets operands of its own shape:
+        # numpy's same-shape loop is about 1 us faster than a broadcast one.
+        keep, dx_helmholtz = (a[None].repeat(len(params), 0) for a in (sf.keep, sf.dx_helmholtz))
 
         def decode(v):
             return np.fft.irfft(decode_rows * v, n=grid.n)
 
-        def rhs(v, rows):
-            u, ux, *f = rows
-            # n stated, as perfbench's FFT counter takes len(a), the row count, otherwise
+        def rhs(v, rows, *f):
+            u, ux = rows
+            # n stated, as perfbench's FFT counter takes len(a), the term count, otherwise
             prods = np.fft.rfft([u * ux, u**2 + 0.5 * ux**2, *f], n=grid.n)
             du = symbol * v
-            du -= sf.keep * (prods[0] + sf.dx_helmholtz * prods[1])
+            du -= keep * (prods[0] + dx_helmholtz * prods[1])
             return (du + prods[2]) if f else du
 
         return decode, rhs
 
     def decode(v):
-        return v, _derivative_values(grid, v, 1)
+        return v, [_derivative_values(grid, u, 1) for u in v]
 
-    def rhs(v, rows):
-        u, ux, *f = rows
-        advect = u * ux
-        quad = u**2 + 0.5 * ux**2
-        nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
-        du = -advect + p.gamma * ux - nonlocal_term
-        if p.lam > 0:
-            du = du - p.lam * u
+    def rhs(v, rows, *f):
+        out = []
+        for u, ux, q in zip(*rows, params):
+            advect = u * ux
+            quad = u**2 + 0.5 * ux**2
+            nonlocal_term = _dx_invert_values(grid, quad + (2.0 * p.omega + p.gamma) * u)
+            du = -advect + p.gamma * ux - nonlocal_term
+            if q.lam > 0:
+                du = du - q.lam * u
+            out.append(du)
+        du = out[0][None] if len(out) == 1 else np.stack(out)  # one row needs no copy
         return (du + f[0]) if f else du
 
     return decode, rhs
@@ -189,22 +209,23 @@ def rhs_nonlocal(u: Field, p: PhysParams) -> Field:
     """Time derivative of u in the nonlocal form, damped by lam * u when lam > 0."""
     grid = u.grid
     _check_boundary_decay(grid, u.values, "rhs_nonlocal")
-    decode, rhs = _kernel(grid, p)
-    v = np.fft.rfft(u.values) if grid.is_periodic else u.values
-    du = rhs(v, decode(v))
+    decode, rhs = _kernel(grid, [p])
+    v = (np.fft.rfft(u.values, n=grid.n) if grid.is_periodic else u.values)[None]
+    du = rhs(v, decode(v))[0]
     return Field(grid, np.fft.irfft(du, n=grid.n) if grid.is_periodic else du)
 
 
 State = TypeVar("State", Field, np.ndarray)
 
 
-def step_rk4(u: State, t: float, dt: float, rhs: Callable[[float, State], State]) -> State:
+def step_rk4(u: State, t: float | np.ndarray, dt: float | np.ndarray, rhs: Callable) -> State:
     """One classical Runge-Kutta step; parameters are bound into ``rhs(t, u)``.
 
-    Only ``+`` and scalar ``*`` touch the state, so it may be a Field or the
-    plain value array that ``simulate`` steps.
+    Only ``+`` and ``*`` by dt touch the state, so it may be a Field or the
+    plain (rows, m) array that ``simulate`` steps, with dt a scalar or an
+    (r, 1) column of per-row steps (t then a column too).
     """
-    if dt <= 0:
+    if not (np.all(dt > 0) if isinstance(dt, np.ndarray) else dt > 0):
         raise ValueError("dt must be positive")
     k1 = rhs(t, u)
     k2 = rhs(t + 0.5 * dt, u + (0.5 * dt) * k1)
@@ -264,7 +285,7 @@ def check_run(config: SimConfig, u0: Field) -> int:
             f"dt = {dt:g} exceeds the advisory CFL bound {bound:g}; "
             "the run proceeds but accuracy should be checked by refinement",
             CflWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of simulate
         )
     return n_steps
 
@@ -276,49 +297,85 @@ def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> 
     line each step's state is checked for boundary decay, with at most one
     BoundaryDecayWarning per run.
     """
-    n_steps = check_run(config, u0)
-    grid, dt = config.grid, config.dt
-    decode, rhs = _kernel(grid, config.params)
+    return _simulate_rows([config], u0, forcing)[0]
 
-    def rhs_t(t: float, v: np.ndarray) -> np.ndarray:
+
+def _simulate_rows(
+    configs: Sequence[SimConfig], u0: Field, forcing: ForcingFn | None = None
+) -> list[Trajectory]:
+    """``simulate`` of each config from u0, stepped together as one (rows, m) state.
+
+    The configs share the grid, omega and gamma.  Each row keeps its own lam
+    (a column of the linear symbol), dt (a column of the RK4 combination),
+    step count, snapshot stride and blowup guard, and its Trajectory is
+    bitwise the one its own ``simulate`` gives.  A row that ends, goes
+    non-finite or trips its guard leaves the batch, and the others go on.
+    A forcing is stepped with one row only.
+    """
+    n_steps = [check_run(config, u0) for config in configs]
+    grid, p = configs[0].grid, configs[0].params
+    if any((c.params.omega, c.params.gamma) != (p.omega, p.gamma) for c in configs):
+        raise ValueError("batched runs must share omega and gamma")
+    if forcing is not None and len(configs) != 1:
+        raise ValueError("a forced run is stepped alone")
+    live = list(range(len(configs)))
+    times = [[0.0] for _ in configs]
+    snaps = [[u0] for _ in configs]
+    ends = [Termination.COMPLETED for _ in configs]
+    guard_times: list[Optional[float]] = [None for _ in configs]
+    warned = [False for _ in configs]
+
+    def rhs_t(t, v: np.ndarray) -> np.ndarray:
         # Stage 1 starts from the state whose rows the step's checks just decoded.
         stage_rows = rows if v is state else decode(v)
-        if forcing is not None:
-            stage_rows = (*stage_rows, forcing(t))
-        return rhs(v, stage_rows)
+        if forcing is None:
+            return rhs(v, stage_rows)
+        return rhs(v, stage_rows, forcing(t)[None])
 
-    times = [0.0]
-    snaps = [u0]
-    termination = Termination.COMPLETED
-    guard_time = None
-    state = np.fft.rfft(u0.values) if grid.is_periodic else u0.values
-    rows = decode(state)
-    warned = False
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        # t + dt is the float stage 4 used, so the next stage 1 repeats it exactly
-        state = step_rk4(state, t, dt, rhs_t)
-        t = t + dt
+    v0 = np.fft.rfft(u0.values, n=grid.n) if grid.is_periodic else u0.values
+    state = np.broadcast_to(v0, (len(live), v0.size))
+    # Only a forcing reads t, and a forced run is one row: a run stepped alone
+    # keeps dt and t as floats, a batch keeps them as (rows, 1) columns.
+    t = 0.0 if len(configs) == 1 else np.zeros((len(configs), 1))
+    step = 0
+    while live:
+        decode, rhs = _kernel(grid, [configs[i].params for i in live])
+        dt = configs[0].dt if len(configs) == 1 else np.array([[configs[i].dt] for i in live])
         rows = decode(state)
-        u, ux = rows
-        if not np.all(np.isfinite(u)):
-            # NaN/Inf in any stage reaches u: keep the finite prefix.
-            termination = Termination.NON_FINITE
-            break
-        if not warned:
-            warned = _check_boundary_decay(grid, u, "simulate")
-        t_now = step * dt
-        record = step % config.snapshot_stride == 0 or step == n_steps
-        if np.max(np.abs(ux)) > config.blowup_guard:
-            termination = Termination.BLOWUP_GUARD
-            guard_time = t_now
-            record = True
-        if record:
-            times.append(t_now)
-            snaps.append(Field(grid, u))
-        if termination is Termination.BLOWUP_GUARD:
-            break
-    return Trajectory(config, np.asarray(times), tuple(snaps), termination, guard_time)
+        stay = range(len(live))
+        while len(stay) == len(live):
+            step += 1
+            # t + dt is the float stage 4 used, so the next stage 1 repeats it exactly
+            state = step_rk4(state, t, dt, rhs_t)
+            t = t + dt
+            rows = decode(state)
+            stay = []
+            for j, (i, u, ux) in enumerate(zip(live, *rows)):
+                config = configs[i]
+                if not np.all(np.isfinite(u)):
+                    # NaN/Inf in any stage reaches u: keep the finite prefix.
+                    ends[i] = Termination.NON_FINITE
+                    continue
+                if not warned[i]:
+                    warned[i] = _check_boundary_decay(grid, u, "simulate", stacklevel=4)
+                t_now = step * config.dt
+                record = step % config.snapshot_stride == 0 or step == n_steps[i]
+                if np.max(np.abs(ux)) > config.blowup_guard:
+                    ends[i] = Termination.BLOWUP_GUARD
+                    guard_times[i] = t_now
+                    record = True
+                if record:
+                    times[i].append(t_now)
+                    snaps[i].append(Field(grid, u))
+                if ends[i] is Termination.COMPLETED and step < n_steps[i]:
+                    stay.append(j)
+        live = [live[j] for j in stay]
+        if live:  # a batch loses some rows
+            state, t = state[stay], t[stay]
+    return [
+        Trajectory(config, np.asarray(times[i]), tuple(snaps[i]), ends[i], guard_times[i])
+        for i, config in enumerate(configs)
+    ]
 
 
 @dataclass(frozen=True)

@@ -474,14 +474,25 @@ def _equivalence_scenario(t_end):
     return parse_scenario(doc)
 
 
+def _patch_runs(monkeypatch, per_run):
+    """Pass every trajectory the runners start through ``per_run(cfg, traj)``.
+
+    Runs start at ``solver._simulate_rows``, the batched entry: one row per
+    ``simulate`` call, every DissipativeEquivalence run in one call.  per_run
+    sees the rows in the order they were passed.
+    """
+    simulate_rows = d.solver._simulate_rows
+
+    def patched(cfgs, u0, *args):
+        return [per_run(cfg, traj) for cfg, traj in zip(cfgs, simulate_rows(cfgs, u0, *args))]
+
+    monkeypatch.setattr("dghlab.solver._simulate_rows", patched)
+    monkeypatch.setattr("dghlab.experiments._simulate_rows", patched)
+
+
 def test_dissipative_equivalence_runs_the_undamped_problem_once(monkeypatch):
     calls = []
-
-    def counting(cfg, u0, **kw):
-        calls.append(cfg.params.lam)
-        return d.simulate(cfg, u0, **kw)
-
-    monkeypatch.setattr("dghlab.experiments.simulate", counting)
+    _patch_runs(monkeypatch, lambda cfg, traj: calls.append(cfg.params.lam) or traj)
     result = execute(_equivalence_scenario(0.1))
     assert calls == [0.0, 0.1, 0.5, 1.0]
     assert [c.name for c in result.checks] == [
@@ -496,8 +507,7 @@ def test_dissipative_equivalence_fails_lambdas_beyond_a_short_undamped_run(monke
     tau = {lam: d.to_conservative_time(0.5, lam) for lam in (0.1, 0.5, 1.0)}
     assert tau[1.0] < tau[0.5] < 0.46 < tau[0.1]
 
-    def truncated(cfg, u0, **kw):
-        traj = d.simulate(cfg, u0, **kw)
+    def truncated(cfg, traj):
         if cfg.params.lam > 0:
             return traj
         keep = int(np.count_nonzero(traj.times <= 0.46))
@@ -508,7 +518,7 @@ def test_dissipative_equivalence_fails_lambdas_beyond_a_short_undamped_run(monke
             termination=d.Termination.BLOWUP_GUARD,
         )
 
-    monkeypatch.setattr("dghlab.experiments.simulate", truncated)
+    _patch_runs(monkeypatch, truncated)
     checks = {c.name: c for c in execute(scn).checks}
     assert not checks["equivalence_lambda_0.1"].passed
     assert checks["equivalence_lambda_0.1"].detail == "undamped run: termination=blowup_guard"
@@ -516,10 +526,9 @@ def test_dissipative_equivalence_fails_lambdas_beyond_a_short_undamped_run(monke
 
 
 def _cut_short(target, termination):
-    """simulate, except that the run of SimConfig target stops halfway with termination."""
+    """A per-run patch: the run of SimConfig target stops halfway with termination."""
 
-    def cut(cfg, u0, **kw):
-        traj = d.simulate(cfg, u0, **kw)
+    def cut(cfg, traj):
         if cfg != target:
             return traj
         keep = len(traj.times) // 2
@@ -555,8 +564,7 @@ def test_a_later_run_going_non_finite_exits_three(tmp_path, monkeypatch, kind, w
         doc["solver"]["t_end"] = 0.1
     plan = parse_scenario(doc).runs
     assert list(plan).index(where) > 0  # a run after the first
-    cut = _cut_short(plan[where], d.Termination.NON_FINITE)
-    monkeypatch.setattr("dghlab.experiments.simulate", cut)
+    _patch_runs(monkeypatch, _cut_short(plan[where], d.Termination.NON_FINITE))
     cfg = _write(tmp_path, doc)
     assert run_scenario(cfg, output_root=str(tmp_path / "out")) == 3
     meta = json.loads((tmp_path / "out" / "later" / "metadata.json").read_text())
@@ -566,8 +574,7 @@ def test_a_later_run_going_non_finite_exits_three(tmp_path, monkeypatch, kind, w
 
 def test_dissipative_equivalence_fails_a_lambda_whose_direct_run_stopped(monkeypatch):
     scn = _equivalence_scenario(0.1)
-    cut = _cut_short(scn.runs["options.lambdas[1]"], d.Termination.BLOWUP_GUARD)
-    monkeypatch.setattr("dghlab.experiments.simulate", cut)
+    _patch_runs(monkeypatch, _cut_short(scn.runs["options.lambdas[1]"], d.Termination.BLOWUP_GUARD))
     result = execute(scn)
     checks = {c.name: c for c in result.checks}
     assert not checks["equivalence_lambda_0.5"].passed
@@ -585,12 +592,7 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 def test_runners_start_only_the_planned_runs(path, monkeypatch):
     scn = load_scenario(path)
     started = []
-
-    def recording(cfg, u0, **kw):
-        started.append(cfg)
-        return d.simulate(cfg, u0, **kw)
-
-    monkeypatch.setattr("dghlab.experiments.simulate", recording)
+    _patch_runs(monkeypatch, lambda cfg, traj: started.append(cfg) or traj)
     execute(scn)
     planned = list(scn.runs.values())
     assert started and all(any(cfg is run for run in planned) for cfg in started)

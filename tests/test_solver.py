@@ -7,6 +7,8 @@ import pytest
 
 import dghlab as d
 from dghlab import GridKind as GK
+from dghlab.experiments import execute
+from dghlab.scenario import parse_scenario
 
 from conftest import band_limited, run, subsample
 
@@ -218,6 +220,22 @@ def test_step_rk4_rejects_nonpositive_dt(pgrid):
     rhs = lambda t, u: u
     with pytest.raises(ValueError):
         d.step_rk4(d.Field.zeros(pgrid), 0.0, -1e-3, rhs)
+
+
+def test_step_rk4_takes_a_dt_column():
+    # a (r, 1) dt and t step each row as the scalar step of that row would
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(3, 16))
+    rate = rng.normal(size=(3, 1))
+    t = np.array([[0.0], [0.1], [0.25]])
+    dt = np.array([[1e-3], [2e-3], [5e-4]])
+    got = d.step_rk4(u, t, dt, lambda t, v: rate * np.sin(v) + t)
+    for i in range(3):
+        rhs = lambda t, v, a=float(rate[i, 0]): a * np.sin(v) + t
+        assert np.array_equal(got[i], d.step_rk4(u[i], float(t[i, 0]), float(dt[i, 0]), rhs))
+    for bad in (0.0, -1e-3, np.nan):
+        with pytest.raises(ValueError):
+            d.step_rk4(u, t, np.array([[1e-3], [bad], [5e-4]]), lambda t, v: v)
 
 
 def test_time_reversibility():
@@ -453,6 +471,165 @@ def test_periodic_simulate_matches_field_loop():
         assert len(traj.snapshots) == len(ref)
         for a, b in zip(traj.snapshots, ref):
             assert np.max(np.abs(a.values - b.values)) <= 1e-13 * b.max_abs()
+
+
+def _poison_rows(monkeypatch, lam, after):
+    """Every right-hand side of a row damped by lam is NaN after the first
+    ``after`` evaluations; returns the evaluation counter, to reset per run."""
+    kernel = d.solver._kernel
+    evaluations = [0]
+
+    def poisoned_kernel(grid, params):
+        decode, rhs = kernel(grid, params)
+        hit = [j for j, q in enumerate(params) if q.lam == lam]
+
+        def poisoned(v, rows, *f):
+            du = rhs(v, rows, *f)
+            evaluations[0] += 1
+            if evaluations[0] > after:
+                du[hit] = np.nan
+            return du
+
+        return decode, poisoned
+
+    monkeypatch.setattr(d.solver, "_kernel", poisoned_kernel)
+    return evaluations
+
+
+def _row_case(kind):
+    """(u0, four configs differing in lam, dt and stride, with the third row's
+    guard tripping mid-run) on one grid."""
+    if kind == "periodic":
+        grid = d.make_grid(GK.PERIODIC, 64)
+        u0 = d.Field.from_function(grid, lambda x: 0.5 * np.cos(2 * np.pi * x))
+        p, guard = d.PhysParams(0.1, -0.3), 3.3  # max|u_x| grows from 3.14
+    else:
+        grid = d.make_grid(GK.TRUNCATED_LINE, 256, 25.0)
+        u0 = d.make_profile(grid, "bump", space="m", amplitude=1.0, center=0.0, width=1.0)
+        p, guard = d.PhysParams(0.0, 0.0), 0.2861  # max|u_x| rises from 0.28605
+    base = d.SimConfig(grid, p, dt=1e-3, t_end=0.05, snapshot_stride=5)
+    return u0, [
+        base,
+        replace(base, params=replace(p, lam=0.5), dt=5e-4, snapshot_stride=7),
+        replace(base, params=replace(p, lam=0.01), dt=2e-3, t_end=0.06, blowup_guard=guard),
+        replace(base, params=replace(p, lam=1.0), dt=1.25e-3, snapshot_stride=3),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["periodic", "line"])
+def test_each_row_of_a_batch_is_its_own_run(kind, monkeypatch):
+    u0, configs = _row_case(kind)
+    evaluations = _poison_rows(monkeypatch, lam=1.0, after=4 * 20 + 2)  # in step 21
+    batch = d.solver._simulate_rows(configs, u0)
+    solo = []
+    for cfg in configs:
+        evaluations[0] = 0
+        solo.append(d.simulate(cfg, u0))
+    for got, want in zip(batch, solo):
+        assert got.config is want.config
+        assert np.array_equal(got.times, want.times)
+        assert len(got.snapshots) == len(want.snapshots)
+        pairs = zip(got.snapshots, want.snapshots)
+        assert all(np.array_equal(a.values, b.values) for a, b in pairs)
+        assert got.termination is want.termination
+        assert got.guard_time == want.guard_time
+    untouched, damped, guarded, poisoned = batch
+    for traj in (untouched, damped):
+        assert traj.termination is d.Termination.COMPLETED
+        assert math.isclose(traj.times[-1], traj.config.t_end)
+    assert guarded.termination is d.Termination.BLOWUP_GUARD
+    assert 0.0 < guarded.guard_time == guarded.times[-1] < guarded.config.t_end
+    assert poisoned.termination is d.Termination.NON_FINITE
+    assert poisoned.times[-1] == 18 * poisoned.config.dt  # the last stride-3 record before step 21
+
+
+def test_a_batch_rejects_rows_it_cannot_share(pgrid):
+    u0 = d.Field.from_function(pgrid, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    cfg = d.SimConfig(pgrid, d.PhysParams(0.1, -0.2), dt=5e-4, t_end=5e-3)
+    with pytest.raises(ValueError, match="omega and gamma"):
+        d.solver._simulate_rows([cfg, replace(cfg, params=d.PhysParams(0.2, -0.2))], u0)
+    with pytest.raises(ValueError, match="forced run"):
+        d.solver._simulate_rows([cfg, cfg], u0, forcing=lambda t: np.zeros(pgrid.n))
+
+
+def test_a_batch_warns_boundary_decay_once_per_row():
+    g = d.make_grid(GK.TRUNCATED_LINE, 512, 5.0)
+    u0 = d.make_profile(g, "gaussian", width=2.0)
+    cfg = d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=1e-3, t_end=0.05)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d.solver._simulate_rows([cfg, replace(cfg, params=d.PhysParams(0.0, 0.0, lam=0.5))], u0)
+    assert sum(issubclass(w.category, d.BoundaryDecayWarning) for w in caught) == 2
+
+
+def test_line_dissipative_equivalence_steps_its_rows_as_their_own_runs(monkeypatch):
+    doc = {
+        "name": "line-equivalence",
+        "kind": "DissipativeEquivalence",
+        "grid": {"kind": "line", "n": 256, "half_width": 25.0},
+        "params": {"omega": 0.0, "gamma": 0.0},
+        "initial": {"family": "bump", "space": "m", "amplitude": 0.5, "center": 0.0, "width": 1.0},
+        "solver": {"dt": 2.0e-3, "t_end": 0.2, "snapshot_stride": 5},
+        "options": {"lambdas": [0.5, 1.0], "error_tol": 1.0e-5},
+    }
+    scn = parse_scenario(doc)
+    batches = []
+    simulate_rows = d.solver._simulate_rows
+
+    def recording(cfgs, u0, *args):
+        batches.append(simulate_rows(cfgs, u0, *args))
+        return batches[-1]
+
+    monkeypatch.setattr("dghlab.experiments._simulate_rows", recording)
+    result = execute(scn)
+    assert result.all_passed and len(result.checks) == 2
+    (batch,) = batches
+    assert [traj.config for traj in batch] == [
+        scn.runs[k] for k in ("options.lambdas", "options.lambdas[0]", "options.lambdas[1]")
+    ]
+    for traj in batch:
+        want = d.simulate(traj.config, scn.u0)
+        assert np.array_equal(traj.times, want.times)
+        pairs = zip(traj.snapshots, want.snapshots)
+        assert all(np.array_equal(a.values, b.values) for a, b in pairs)
+
+
+def _bench_equivalence(lambdas):
+    """The benchmark's DissipativeEquivalence request, with the given lambdas."""
+    return parse_scenario(
+        {
+            "name": "equivalence",
+            "kind": "DissipativeEquivalence",
+            "grid": {"kind": "periodic", "n": 256},
+            "params": {"omega": 0.0, "gamma": 0.0},
+            "initial": {"family": "cosine", "amplitude": 0.05},
+            "solver": {"dt": 1.0e-3, "t_end": 0.1, "snapshot_stride": 10},
+            "options": {"lambdas": lambdas, "error_tol": 1.0e-5},
+        }
+    )
+
+
+def test_a_batch_costs_the_fft_calls_of_one_run_and_states_every_length(monkeypatch):
+    # Each transform names n = grid.n, so a wrapper that reads the length from
+    # len(a) (the leading axis) cannot miscount a batched call.
+    lengths = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, fn=fn, **kw):
+            lengths.append(n)
+            return fn(a, n, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = {}
+    for lambdas in ([0.1], [0.1, 0.5, 1.0]):
+        scn = _bench_equivalence(lambdas)
+        lengths.clear()
+        assert execute(scn).all_passed
+        assert lengths and all(n == scn.grid.n for n in lengths)
+        counts[len(lambdas)] = len(lengths)
+    # 100 steps of 8 calls, one rfft of u0 and one first decode
+    assert counts == {1: 802, 3: 802}
 
 
 def test_trajectory_subsample(pgrid):
