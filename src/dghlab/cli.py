@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .artifacts import write_metadata, write_series_csv, write_snapshot_csv, write_svg_lineplot
-from .experiments import KINDS, ExperimentKind, ExperimentResult, Option, execute
+from .experiments import KINDS, ExperimentResult, Option, execute
 from .grid import NonFiniteFieldError
 from .helmholtz import apply_lambda2
 from .invariants import relative_drift
@@ -38,16 +38,15 @@ OUTPUT_ROOT_ENV = "DGHLAB_OUTPUT_ROOT"
 
 def list_kinds() -> str:
     lines = ["Available experiment kinds:"]
-    for kind in ExperimentKind:
-        first = KINDS[kind].description.splitlines()[0]
-        lines.append(f"  {kind.value:24s} {first}")
+    for name, spec in KINDS.items():
+        first = spec.description.splitlines()[0]
+        lines.append(f"  {name:24s} {first}")
     return "\n".join(lines)
 
 
 def describe(kind_name: str) -> str:
-    kind = _member(ExperimentKind, kind_name, "kind")
-    spec = KINDS[kind]
-    lines = [kind.value, "", spec.description]
+    spec = _member(KINDS, kind_name, "kind")
+    lines = [kind_name, "", spec.description]
     if spec.options:
         lines += ["", "Options:"]
         lines += [f"  {name}: {_option_summary(opt)}" for name, opt in spec.options.items()]

@@ -1,18 +1,19 @@
 """The experiment kinds: one table entry per kind, and the runners behind them.
 
-``KINDS`` is the single description of each kind: what it checks, its
-options (type, default, allowed range), the grid and parameters it needs, the
-runs it makes and its runner.  ``parse_scenario`` validates configs against
-it, ``execute`` dispatches through it and the CLI prints ``list``/``describe``
-from it.
+``KINDS`` is the single description of each kind, keyed by the name a
+config gives as ``kind``: what it checks, its options (type, default, allowed
+range), the grid and parameters it needs, the runs it makes and its runner.
+``parse_scenario`` validates configs against it, ``execute`` dispatches
+through it and the CLI prints ``list``/``describe`` from it.
 
 Each runner simulates what its scenario describes, evaluates the scenario's
 assertions as Check records, and returns the tables and snapshots to persist.
 Runners read every option from ``scn.options``, which parsing has validated
-and filled with defaults, and start every run from ``scn.u0`` through
-``_run`` (or ``_run_batch``, which steps DissipativeEquivalence's runs as
-one state), with the ``SimConfig`` that parsing planned and checked in
-``scn.runs``; the worst termination of any run decides a numerical failure.
+and filled with defaults, and start their runs with one call of ``_run``,
+which steps the ``SimConfig`` entries that parsing planned and checked in
+``scn.runs`` as one batch from ``scn.u0`` (ManufacturedConvergence calls it
+once per rung, as a forced run steps alone); the worst termination of any
+run decides a numerical failure.
 Runners never raise on a numerically failed run (a trajectory that hit the
 NaN guard is reported, with whatever prefix was computed) or on a
 measurement that finds nothing to measure (that is a failed check); they
@@ -21,7 +22,6 @@ raise only on programming errors.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
@@ -57,24 +57,13 @@ from .solver import (
     _simulate_rows,
     manufactured_forcing,
     rhs_nonlocal,
-    simulate,
 )
 
 if TYPE_CHECKING:
     from .scenario import Scenario
     from .solver import ForcingFn
 
-__all__ = ["KINDS", "Check", "ExperimentKind", "ExperimentResult", "Kind", "Option", "execute"]
-
-
-class ExperimentKind(enum.Enum):
-    FREE_RUN = "FreeRun"
-    SUPPORT_PROPAGATION = "SupportPropagation"
-    TAIL_FORMATION = "TailFormation"
-    CONTINUATION_PROBE = "ContinuationProbe"
-    DISSIPATIVE_EQUIVALENCE = "DissipativeEquivalence"
-    INVARIANT_AUDIT = "InvariantAudit"
-    MANUFACTURED_CONVERGENCE = "ManufacturedConvergence"
+__all__ = ["KINDS", "Check", "ExperimentResult", "Kind", "Option", "execute"]
 
 
 @dataclass(frozen=True)
@@ -114,30 +103,23 @@ class ExperimentResult:
 
 
 def _run(
-    scn: Scenario, result: ExperimentResult, where: str = "solver.dt", forcing: ForcingFn | None = None
-) -> Trajectory:
-    """Simulate the run planned under ``where`` and fold its termination into result."""
-    traj = simulate(scn.runs[where], scn.u0, forcing=forcing)
-    _fold_termination(result, traj)
-    return traj
+    scn: Scenario, result: ExperimentResult, *wheres: str, forcing: ForcingFn | None = None
+) -> list[Trajectory]:
+    """Step the runs planned under ``wheres`` (every planned run when none is
+    named) as one batch from ``scn.u0``, and return their trajectories in order.
+    A forced run is stepped alone.
 
-
-def _run_batch(scn: Scenario, result: ExperimentResult, wheres: list[str]) -> list[Trajectory]:
-    """``_run`` of each run planned under ``wheres``, stepped as one batch and folded in order."""
-    trajs = _simulate_rows([scn.runs[where] for where in wheres], scn.u0)
+    Folded in that order, result keeps the worst termination of the kind's runs
+    (completed < blowup_guard < non_finite) and the first guard time.
+    """
+    trajs = _simulate_rows([scn.runs[where] for where in wheres or scn.runs], scn.u0, forcing)
     for traj in trajs:
-        _fold_termination(result, traj)
+        before = Termination(result.metadata.get("termination", "completed"))
+        worst = max(before, traj.termination, key=list(Termination).index)
+        result.metadata["termination"] = worst.value
+        if traj.guard_time is not None:
+            result.metadata.setdefault("guard_time", traj.guard_time)
     return trajs
-
-
-def _fold_termination(result: ExperimentResult, traj: Trajectory) -> None:
-    """result keeps the worst termination of the kind's runs
-    (completed < blowup_guard < non_finite) and the first guard time."""
-    before = Termination(result.metadata.get("termination", "completed"))
-    worst = max(before, traj.termination, key=list(Termination).index)
-    result.metadata["termination"] = worst.value
-    if traj.guard_time is not None:
-        result.metadata.setdefault("guard_time", traj.guard_time)
 
 
 def _record_ends(result: ExperimentResult, traj: Trajectory) -> None:
@@ -171,7 +153,7 @@ def _check_completed(result: ExperimentResult, traj: Trajectory) -> None:
 
 def _run_free(scn: Scenario) -> ExperimentResult:
     result = ExperimentResult()
-    traj = _run(scn, result)
+    (traj,) = _run(scn, result)
     _record_ends(result, traj)
     _standard_series(result, traj)
     result.checks.append(
@@ -187,7 +169,7 @@ def _run_free(scn: Scenario) -> ExperimentResult:
 def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     opts = scn.options
     result = ExperimentResult()
-    traj = _run(scn, result)
+    traj, *fine = _run(scn, result)  # fine: the rerun at dt/2, when planned
     _record_ends(result, traj)
     e, m = _standard_series(result, traj)
     _check_completed(result, traj)
@@ -211,10 +193,9 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     for variant, s in h2.items():
         result.series[f"h2_{variant.value}"] = (s.times, s.values)
 
-    if "options.discriminate_h2" in scn.runs:
-        fine = _run(scn, result, "options.discriminate_h2")
+    if fine:
         h2_coarse = {variant: s.drift for variant, s in h2.items()}
-        h2_fine = {variant: s.drift for variant, s in _h2_series(fine, scn.params).items()}
+        h2_fine = {variant: s.drift for variant, s in _h2_series(fine[0], scn.params).items()}
         conserved = discriminate_h2(h2_coarse, h2_fine)
         name = conserved.value if conserved else None
         result.metadata["h2_conserved_variant"] = name
@@ -242,7 +223,7 @@ def _run_support(scn: Scenario) -> ExperimentResult:
     thr_rel = scn.options["support_threshold_rel"]
     margin = scn.options["margin_spacings"]
     result = ExperimentResult()
-    traj = _run(scn, result)
+    (traj,) = _run(scn, result)
     _record_ends(result, traj)
     _check_completed(result, traj)
 
@@ -261,7 +242,6 @@ def _run_support(scn: Scenario) -> ExperimentResult:
     h = scn.grid.spacing
 
     lo_edges, hi_edges = [], []
-    contained_all = True
     worst_excess = -math.inf
     for k in range(len(traj.times)):
         mk = apply_lambda2(traj.snapshots[k])
@@ -271,8 +251,6 @@ def _run_support(scn: Scenario) -> ExperimentResult:
         hi_edges.append(hi)
         excess = max(paths.q[k, 0] - margin * h - lo, hi - (paths.q[k, 1] + margin * h))
         worst_excess = max(worst_excess, excess)
-        if excess > 0:
-            contained_all = False
     result.series["support_lo"] = (traj.times, np.asarray(lo_edges))
     result.series["support_hi"] = (traj.times, np.asarray(hi_edges))
     result.series["char_lo"] = (traj.times, paths.q[:, 0])
@@ -281,7 +259,7 @@ def _run_support(scn: Scenario) -> ExperimentResult:
     result.checks.append(
         Check(
             "support_in_characteristic_cone",
-            contained_all,
+            bool(worst_excess <= 0),
             worst_excess,
             0.0,
             detail=f"margin={margin} spacings",
@@ -298,7 +276,7 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
     width = scn.options["window_width"]
     rate_tol = scn.options["rate_tol"]
     result = ExperimentResult()
-    traj = _run(scn, result)
+    (traj,) = _run(scn, result)
     _record_ends(result, traj)
     _check_completed(result, traj)
 
@@ -329,7 +307,7 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
 def _run_probe(scn: Scenario) -> ExperimentResult:
     tol = scn.options["residual_tol"]
     result = ExperimentResult()
-    traj = _run(scn, result)
+    (traj,) = _run(scn, result)
     _record_ends(result, traj)
     _check_completed(result, traj)
 
@@ -367,7 +345,7 @@ def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
     lambdas = scn.options["lambdas"]
     result = ExperimentResult()
     wheres = [f"options.lambdas[{i}]" for i in range(len(lambdas))]
-    conservative, *directs = _run_batch(scn, result, ["options.lambdas", *wheres])
+    conservative, *directs = _run(scn, result, "options.lambdas", *wheres)
     worst_by_lambda = {}
     for lam, direct in zip(lambdas, directs):
         if not result.snapshots:
@@ -409,7 +387,7 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
     result = ExperimentResult()
     errors = []
     for i, dt in sorted(enumerate(opts["dts"]), key=lambda pair: pair[1], reverse=True):
-        traj = _run(scn, result, f"options.dts[{i}]", forcing=forcing)
+        (traj,) = _run(scn, result, f"options.dts[{i}]", forcing=forcing)
         err = float(
             np.max(np.abs(traj.snapshots[-1].values - exact.u(t_end, scn.grid.nodes)))
         )
@@ -476,14 +454,14 @@ def _tolerance(default: float, help: str) -> Option:
     return Option(float, default, low=0.0, help=help)
 
 
-KINDS: dict[ExperimentKind, Kind] = {
-    ExperimentKind.FREE_RUN: Kind(
+KINDS: dict[str, Kind] = {
+    "FreeRun": Kind(
         "Integrate the equation from the configured initial data and record\n"
         "field snapshots plus energy and mass time series.  Checks only that\n"
         "the run stays finite.",
         _run_free,
     ),
-    ExperimentKind.SUPPORT_PROPAGATION: Kind(
+    "SupportPropagation": Kind(
         "Start from initial data whose momentum m = u - u_xx is a compact bump,\n"
         "track the characteristic paths q(t, .) of the two support edges\n"
         "(dq/dt = u(t, q) - gamma), and check that the detected support of m(t)\n"
@@ -500,7 +478,7 @@ KINDS: dict[ExperimentKind, Kind] = {
         grid=GridKind.TRUNCATED_LINE,
         params=(continuation_regime, "SupportPropagation requires gamma = -2 omega"),
     ),
-    ExperimentKind.TAIL_FORMATION: Kind(
+    "TailFormation": Kind(
         "Evolve compactly supported momentum data briefly on the truncated line\n"
         "and fit the decay rate of ln|u| in windows outside the momentum\n"
         "support.  The velocity field instantly develops pure exponential tails:\n"
@@ -516,7 +494,7 @@ KINDS: dict[ExperimentKind, Kind] = {
         grid=GridKind.TRUNCATED_LINE,
         params=(continuation_regime, "TailFormation requires gamma = -2 omega"),
     ),
-    ExperimentKind.CONTINUATION_PROBE: Kind(
+    "ContinuationProbe": Kind(
         "For gamma = -2 omega the equation is equivalent to the pointwise\n"
         "identity F = -(u_t + (u + 2 omega) u_x) where F is the spatial\n"
         "derivative of the smoothed quadratic density u^2 + u_x^2/2.  This\n"
@@ -528,7 +506,7 @@ KINDS: dict[ExperimentKind, Kind] = {
         {"residual_tol": _tolerance(1e-6, "bound on the max identity residual")},
         params=(continuation_regime, "ContinuationProbe requires gamma = -2 omega"),
     ),
-    ExperimentKind.DISSIPATIVE_EQUIVALENCE: Kind(
+    "DissipativeEquivalence": Kind(
         "Simulate the weakly damped equation (damping lambda * (u - u_xx))\n"
         "for each lambda, and one undamped run to the horizon of the smallest\n"
         "lambda, all stepped together as one batch.  Rebuild each damped\n"
@@ -547,7 +525,7 @@ KINDS: dict[ExperimentKind, Kind] = {
             "rescaling is exact only for the drift-free member of the family)",
         ),
         runs=lambda base, opts: {
-            "solver.dt": base,  # checked first, so the solver section's errors name it
+            "solver.dt": base,  # only checked, first, so the solver section's errors name it
             "options.lambdas": _undamped_run(base, opts["lambdas"]),
             **{
                 f"options.lambdas[{i}]": replace(base, params=replace(base.params, lam=lam))
@@ -555,7 +533,7 @@ KINDS: dict[ExperimentKind, Kind] = {
             },
         },
     ),
-    ExperimentKind.INVARIANT_AUDIT: Kind(
+    "InvariantAudit": Kind(
         "Track the conserved functionals along a run: the quadratic energy\n"
         "(half the squared H^1 norm), the mass, and both printed variants of\n"
         "the cubic functional.  For conservative runs the energy and mass\n"
@@ -573,7 +551,7 @@ KINDS: dict[ExperimentKind, Kind] = {
             **({"options.discriminate_h2": _half_step_run(base)} if opts["discriminate_h2"] else {}),
         },
     ),
-    ExperimentKind.MANUFACTURED_CONVERGENCE: Kind(
+    "ManufacturedConvergence": Kind(
         "Force the equation so that u*(t, x) = exp(-t) * (initial profile) is\n"
         "an exact solution, then measure the max-norm error at the final time\n"
         "for a ladder of time steps.  The error must match the exact solution\n"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import KINDS, ExperimentKind, Option
+from .experiments import KINDS, Option
 from .grid import Field, Grid, GridKind, make_grid
 from .profiles import make_profile
 from .solver import CflWarning, PhysParams, SimConfig, check_run
@@ -40,7 +40,7 @@ _TOP_KEYS = {"name", "kind", "grid", "params", "initial", "solver", "output_dir"
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    kind: ExperimentKind
+    kind: str  # a key of KINDS
     grid: Grid
     params: PhysParams
     initial: dict
@@ -55,7 +55,7 @@ class Scenario:
         """Plain-data copy of the configuration for run metadata."""
         return {
             "name": self.name,
-            "kind": self.kind.value,
+            "kind": self.kind,
             "grid": {
                 "kind": self.grid.kind.value,
                 "n": self.grid.n,
@@ -92,13 +92,11 @@ def _section(doc: dict, key: str, allowed) -> dict:
     return sec
 
 
-def _member(enum_cls, value, where: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise ScenarioError(
-            f"{where} must be one of {[k.value for k in enum_cls]}, got {value!r}"
-        ) from None
+def _member(choices: dict, value, where: str):
+    """choices[value]; ScenarioError listing the names of choices when value is none."""
+    if isinstance(value, str) and value in choices:
+        return choices[value]
+    raise ScenarioError(f"{where} must be one of {list(choices)}, got {value!r}")
 
 
 def _number(where: str, v, integer: bool = False):
@@ -155,13 +153,14 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("name must be a nonempty string")
-    kind = _member(ExperimentKind, doc["kind"], "kind")
+    kind = doc["kind"]
+    spec = _member(KINDS, kind, "kind")
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ScenarioError("output_dir must be a string path")
 
     gsec = _section(doc, "grid", _GRID_KEYS)
-    gkind = _member(GridKind, gsec.get("kind"), "grid.kind")
+    gkind = _member({k.value: k for k in GridKind}, gsec.get("kind"), "grid.kind")
     n = _number("grid.n", gsec.get("n"), integer=True)
     if gkind is GridKind.PERIODIC and "half_width" in gsec:
         raise ScenarioError("grid.half_width applies to line grids only")
@@ -185,9 +184,8 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
         "blowup_guard": _number("solver.blowup_guard", ssec.get("blowup_guard", 1e3)),
     }
 
-    spec = KINDS[kind]
     if spec.grid is not None and gkind is not spec.grid:
-        raise ScenarioError(f"{kind.value} runs on {spec.grid.value} grids")
+        raise ScenarioError(f"{kind} runs on {spec.grid.value} grids")
     given = _require_mapping(doc.get("options", {}), "options")
     _reject_unknown(given, set(spec.options), "options")
     options = {}

@@ -13,7 +13,7 @@ import yaml
 import dghlab as d
 from dghlab.cli import describe, main, run_scenario
 from dghlab.experiments import KINDS, execute
-from dghlab.scenario import ExperimentKind, ScenarioError, load_scenario, parse_scenario
+from dghlab.scenario import ScenarioError, load_scenario, parse_scenario
 
 
 def _base_doc(**over):
@@ -40,7 +40,7 @@ def _write(tmp_path: Path, doc, name="scn.yaml") -> Path:
 
 def test_parse_minimal_scenario():
     scn = parse_scenario(_base_doc())
-    assert scn.kind is ExperimentKind.FREE_RUN
+    assert scn.kind == "FreeRun"
     assert scn.grid.n == 64 and scn.grid.is_periodic
     assert scn.params.omega == 0.1 and scn.params.lam == 0.0
     assert scn.initial["space"] == "u"
@@ -165,7 +165,7 @@ def test_parse_fills_and_normalizes_options():
     assert scn.options == {"dts": [2e-3, 1e-3], "error_tol": 1e-7, "order": 4.0, "order_tol": 0.2}
     assert type(scn.options["order"]) is float
     assert set(parse_scenario(_base_doc(kind="InvariantAudit")).options) == set(
-        KINDS[ExperimentKind.INVARIANT_AUDIT].options
+        KINDS["InvariantAudit"].options
     )
 
 
@@ -227,9 +227,9 @@ def test_cli_version(capsys):
 
 
 def test_describe_covers_every_kind():
-    for kind in ExperimentKind:
-        text = describe(kind.value)
-        assert kind.value in text and len(text) > 80
+    for kind in KINDS:
+        text = describe(kind)
+        assert kind in text and len(text) > 80
         for name in KINDS[kind].options:
             assert f"  {name}: " in text
 
@@ -368,7 +368,7 @@ def test_run_error_exit_four(tmp_path, capsys, monkeypatch):
     def runner(scn):
         raise RuntimeError("a bug in the runner")
 
-    kind = ExperimentKind.FREE_RUN
+    kind = "FreeRun"
     monkeypatch.setitem(KINDS, kind, replace(KINDS[kind], runner=runner))
     cfg = _write(tmp_path, _base_doc(name="bug"))
     assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 4
@@ -393,6 +393,54 @@ def test_run_zero_data_fails_checks_exit_one(tmp_path, capsys):
         assert failed == checks
         out = capsys.readouterr().out
         assert all(f"FAIL {name}" in out for name in checks)
+
+
+def _line_bump_doc(name, kind, n, half_width, amplitude, t_end):
+    doc = _base_doc(
+        name=name,
+        kind=kind,
+        grid={"kind": "line", "n": n, "half_width": half_width},
+        params={"omega": 0.0, "gamma": 0.0},
+    )
+    doc["initial"] = {"family": "bump", "amplitude": amplitude, "width": 1.0, "space": "m"}
+    doc["solver"] = {"dt": 1.0e-3, "t_end": t_end, "snapshot_stride": 10}
+    return doc
+
+
+def _failed_checks(tmp_path, doc):
+    """Run doc through the CLI, expect exit 1 and return its checks by name."""
+    cfg = _write(tmp_path, doc)
+    assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 1
+    meta = json.loads((tmp_path / "out" / doc["name"] / "metadata.json").read_text())
+    assert meta["status"] == "check_failed"
+    return {c["name"]: c for c in meta["checks"]}
+
+
+def test_support_leaving_the_cone_fails_the_check(tmp_path, monkeypatch):
+    # A cone that does not follow the flow: both edge paths moved 2 to the right.
+    # The grid resolves the bump's edges, so the cone is seeded near [-1, 1].
+    def shifted(traj, seeds):
+        paths = d.evolve_characteristics(traj, seeds)
+        return replace(paths, q=paths.q + 2.0)
+
+    monkeypatch.setattr("dghlab.experiments.evolve_characteristics", shifted)
+    doc = _line_bump_doc("cone", "SupportPropagation", 2048, 20.0, 0.5, 0.05)
+    checks = _failed_checks(tmp_path, doc)
+    cone = checks["support_in_characteristic_cone"]
+    assert not cone["passed"] and cone["value"] > 0.0
+    assert checks["run_completed"]["passed"]
+
+
+def test_tail_windows_past_the_domain_fail_both_rates(tmp_path):
+    # both fit windows start 15 beyond the momentum support, past the domain's ends
+    doc = _line_bump_doc("tails", "TailFormation", 512, 10.0, 1.0, 0.1)
+    doc["options"] = {"window_offset": 15.0}
+    checks = _failed_checks(tmp_path, doc)
+    for side in ("right", "left"):
+        rate = checks[f"{side}_tail_rate"]
+        assert not rate["passed"] and rate["value"] is None
+        assert rate["detail"] == "field is below the noise floor throughout the window"
+    assert checks["run_completed"]["passed"]
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):
@@ -432,16 +480,11 @@ def test_invariant_audit_with_discrimination(tmp_path):
 def test_invariant_audit_evaluates_each_h2_series_once(monkeypatch):
     snapshots, calls = [], []
 
-    def counting_simulate(cfg, u0, **kw):
-        traj = d.simulate(cfg, u0, **kw)
-        snapshots.append(len(traj.times))
-        return traj
-
     def counting_h2(u, p, variant):
         calls.append(variant)
         return d.hamiltonian_h2(u, p, variant)
 
-    monkeypatch.setattr("dghlab.experiments.simulate", counting_simulate)
+    _patch_runs(monkeypatch, lambda cfg, traj: snapshots.append(len(traj.times)) or traj)
     monkeypatch.setattr("dghlab.experiments.hamiltonian_h2", counting_h2)
     doc = _base_doc(kind="InvariantAudit", options={"discriminate_h2": True})
     doc["initial"] = {"family": "cosine", "amplitude": 0.05}
@@ -474,20 +517,22 @@ def _equivalence_scenario(t_end):
     return parse_scenario(doc)
 
 
-def _patch_runs(monkeypatch, per_run):
+def _patch_runs(monkeypatch, per_run=lambda cfg, traj: traj):
     """Pass every trajectory the runners start through ``per_run(cfg, traj)``.
 
-    Runs start at ``solver._simulate_rows``, the batched entry: one row per
-    ``simulate`` call, every DissipativeEquivalence run in one call.  per_run
-    sees the rows in the order they were passed.
+    Runners start their runs at ``experiments._simulate_rows``, the batched
+    entry.  per_run sees the rows in the order they were passed.  Returns the
+    list of calls, each the list of configs it started.
     """
     simulate_rows = d.solver._simulate_rows
+    calls = []
 
     def patched(cfgs, u0, *args):
+        calls.append(list(cfgs))
         return [per_run(cfg, traj) for cfg, traj in zip(cfgs, simulate_rows(cfgs, u0, *args))]
 
-    monkeypatch.setattr("dghlab.solver._simulate_rows", patched)
     monkeypatch.setattr("dghlab.experiments._simulate_rows", patched)
+    return calls
 
 
 def test_dissipative_equivalence_runs_the_undamped_problem_once(monkeypatch):
@@ -591,12 +636,19 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_runners_start_only_the_planned_runs(path, monkeypatch):
     scn = load_scenario(path)
-    started = []
-    _patch_runs(monkeypatch, lambda cfg, traj: started.append(cfg) or traj)
+    calls = _patch_runs(monkeypatch)
     execute(scn)
-    planned = list(scn.runs.values())
-    assert started and all(any(cfg is run for run in planned) for cfg in started)
-    assert len({id(cfg) for cfg in started}) == len(started)  # each run starts once
+    started = [id(cfg) for call in calls for cfg in call]
+    planned = [  # DissipativeEquivalence's solver.dt entry is only checked
+        id(cfg)
+        for where, cfg in scn.runs.items()
+        if (scn.kind, where) != ("DissipativeEquivalence", "solver.dt")
+    ]
+    assert sorted(started) == sorted(planned)
+    assert len(set(started)) == len(started)  # each planned run starts exactly once
+    # one batch per runner; a forced run steps alone, one per rung
+    rungs = len(scn.options["dts"]) if scn.kind == "ManufacturedConvergence" else 1
+    assert len(calls) == rungs
 
 
 def test_manufactured_scenario(tmp_path):
