@@ -7,12 +7,13 @@ Verbs:
     dghlab version               print the package version
 
 Exit codes: 0 all checks passed; 1 at least one check failed; 2 invalid
-configuration, found before anything runs; 3 numerical failure (partial
-artifacts are kept); 4 an unexpected error, whose traceback goes to stderr
-and to metadata.json.  A reader that closes stdout early does not change
-the exit code.  Config numbers must be finite, and the keys of the
-``initial`` section are the parameters of its family.  The output root
-defaults to ./runs and can be overridden with DGHLAB_OUTPUT_ROOT.
+configuration or an output directory that cannot be created, found before
+anything runs; 3 numerical failure (partial artifacts are kept); 4 an
+unexpected error, whose traceback goes to stderr and to metadata.json.  A
+reader that closes stdout early does not change the exit code.  Config
+numbers must be finite, and the keys of the ``initial`` section are the
+parameters of its family.  The output root defaults to ./runs and can be
+overridden with DGHLAB_OUTPUT_ROOT.
 """
 
 from __future__ import annotations
@@ -107,7 +108,11 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
         return 2
 
     outdir = _output_dir(scn, output_root)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create the output directory: {exc}", file=sys.stderr)
+        return 2
     meta_path = outdir / "metadata.json"
     payload = {"config": scn.echo(), "version": __version__, "status": "started"}
     try:

@@ -11,9 +11,9 @@ assertions as Check records, and returns the tables and snapshots to persist.
 Runners read every option from ``scn.options``, which parsing has validated
 and filled with defaults, and start their runs with one call of ``_run``,
 which steps the ``SimConfig`` entries that parsing planned and checked in
-``scn.runs`` as one batch from ``scn.u0`` (ManufacturedConvergence calls it
-once per rung, as a forced run steps alone); the worst termination of any
-run decides a numerical failure.
+``scn.runs`` as one batch from ``scn.u0``, ManufacturedConvergence's forced
+ladder included; the worst termination of any run decides a numerical
+failure.
 Runners never raise on a numerically failed run (a trajectory that hit the
 NaN guard is reported, with whatever prefix was computed) or on a
 measurement that finds nothing to measure (that is a failed check); they
@@ -107,7 +107,7 @@ def _run(
 ) -> list[Trajectory]:
     """Step the runs planned under ``wheres`` (every planned run when none is
     named) as one batch from ``scn.u0``, and return their trajectories in order.
-    A forced run is stepped alone.
+    A forcing, when given, drives every run of the batch.
 
     Folded in that order, result keeps the worst termination of the kind's runs
     (completed < blowup_guard < non_finite) and the first guard time.
@@ -386,12 +386,12 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
 
     result = ExperimentResult()
     errors = []
-    for i, dt in sorted(enumerate(opts["dts"]), key=lambda pair: pair[1], reverse=True):
-        (traj,) = _run(scn, result, f"options.dts[{i}]", forcing=forcing)
+    rungs = _run(scn, result, forcing=forcing)
+    for traj in sorted(rungs, key=lambda traj: traj.config.dt, reverse=True):
         err = float(
             np.max(np.abs(traj.snapshots[-1].values - exact.u(t_end, scn.grid.nodes)))
         )
-        errors.append((dt, err))
+        errors.append((traj.config.dt, err))
         if not result.snapshots:
             _record_ends(result, traj)
     result.series["error_vs_dt"] = (

@@ -303,14 +303,8 @@ def derivative(f: Field, order: int) -> Field:
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     _check_boundary_decay(f.grid, f.values, "derivative")
-    return Field(f.grid, _derivative_values(f.grid, f.values, order))
-
-
-def _derivative_values(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
-    """``derivative`` on plain node values, without the boundary check."""
-    if grid.is_periodic:
-        return _derivative_periodic(grid, values, order)
-    return _derivative_line(grid, values, order)
+    diff = _derivative_periodic if f.grid.is_periodic else _derivative_line
+    return Field(f.grid, diff(f.grid, f.values, order))
 
 
 def integrate(f: Field) -> float:

@@ -50,17 +50,6 @@ def apply_lambda2(u: Field) -> Field:
     return u - derivative(u, 2)
 
 
-# -- periodic paths ---------------------------------------------------------
-
-
-def _invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(np.fft.rfft(vals) / _spectral_factors(grid).helmholtz, n=grid.n)
-
-
-def _dx_invert_periodic_spectral(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(np.fft.rfft(vals) * _spectral_factors(grid).dx_helmholtz, n=grid.n)
-
-
 # -- truncated-line path ----------------------------------------------------
 
 def _lagrange_coeffs(sigma_nodes) -> np.ndarray:
@@ -168,7 +157,8 @@ def invert_lambda2(f: Field) -> Field:
     """Green's-function convolution g * f inverting the Helmholtz operator."""
     _check_boundary_decay(f.grid, f.values, "invert_lambda2")
     if f.grid.is_periodic:
-        return Field(f.grid, _invert_periodic_spectral(f.grid, f.values))
+        coeffs = np.fft.rfft(f.values) / _spectral_factors(f.grid).helmholtz
+        return Field(f.grid, np.fft.irfft(coeffs, n=f.grid.n))
     P, Q = _line_exponential_parts(f.grid, f.values)
     return Field(f.grid, 0.5 * (P + Q))
 
@@ -176,12 +166,13 @@ def invert_lambda2(f: Field) -> Field:
 def dx_invert_lambda2(f: Field) -> Field:
     """d/dx of the Green's-function convolution, i.e. convolution with g'."""
     _check_boundary_decay(f.grid, f.values, "dx_invert_lambda2")
-    return Field(f.grid, _dx_invert_values(f.grid, f.values))
+    if f.grid.is_periodic:
+        coeffs = np.fft.rfft(f.values) * _spectral_factors(f.grid).dx_helmholtz
+        return Field(f.grid, np.fft.irfft(coeffs, n=f.grid.n))
+    return Field(f.grid, _dx_invert_line(f.grid, f.values))
 
 
-def _dx_invert_values(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """``dx_invert_lambda2`` on plain node values, without the boundary check."""
-    if grid.is_periodic:
-        return _dx_invert_periodic_spectral(grid, vals)
+def _dx_invert_line(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """``dx_invert_lambda2`` on a line's node values, without the boundary check."""
     P, Q = _line_exponential_parts(grid, vals)
     return 0.5 * (Q - P)

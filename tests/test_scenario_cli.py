@@ -322,6 +322,16 @@ def test_run_invalid_config_exit_two(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_run_unwritable_output_dir_exit_two(tmp_path, capsys):
+    root = tmp_path / "out"
+    root.mkdir()
+    (root / "afile").write_text("")
+    cfg = _write(tmp_path, _base_doc(output_dir="afile/sub"))
+    assert main(["run", str(cfg), "--output-root", str(root)]) == 2
+    assert "cannot create the output directory" in capsys.readouterr().err
+    assert [p.name for p in root.iterdir()] == ["afile"]  # nothing written
+
+
 def test_run_failing_check_exit_one(tmp_path, capsys):
     doc = _base_doc(name="impossible", kind="InvariantAudit")
     doc["initial"] = {"family": "cosine", "amplitude": 0.02}
@@ -646,9 +656,7 @@ def test_runners_start_only_the_planned_runs(path, monkeypatch):
     ]
     assert sorted(started) == sorted(planned)
     assert len(set(started)) == len(started)  # each planned run starts exactly once
-    # one batch per runner; a forced run steps alone, one per rung
-    rungs = len(scn.options["dts"]) if scn.kind == "ManufacturedConvergence" else 1
-    assert len(calls) == rungs
+    assert len(calls) == 1  # one batch per runner, the forced ladder included
 
 
 def test_manufactured_scenario(tmp_path):

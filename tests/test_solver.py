@@ -548,8 +548,25 @@ def test_a_batch_rejects_rows_it_cannot_share(pgrid):
     cfg = d.SimConfig(pgrid, d.PhysParams(0.1, -0.2), dt=5e-4, t_end=5e-3)
     with pytest.raises(ValueError, match="omega and gamma"):
         d.solver._simulate_rows([cfg, replace(cfg, params=d.PhysParams(0.2, -0.2))], u0)
-    with pytest.raises(ValueError, match="forced run"):
-        d.solver._simulate_rows([cfg, cfg], u0, forcing=lambda t: np.zeros(pgrid.n))
+
+
+@pytest.mark.parametrize("kind", ["periodic", "line"])
+def test_each_row_of_a_forced_batch_is_its_own_forced_run(kind):
+    u0, configs = _row_case(kind)
+    exact = d.ManufacturedSolution(
+        u=lambda t, x: math.exp(-t) * u0.values, u_t=lambda t, x: -math.exp(-t) * u0.values
+    )
+    forcing = d.manufactured_forcing(exact, configs[0].params, u0.grid)
+    batch = d.solver._simulate_rows(configs, u0, forcing)
+    assert len({len(traj.times) for traj in batch}) > 1  # rows leave the batch at different steps
+    for got in batch:
+        want = d.simulate(got.config, u0, forcing)
+        assert np.array_equal(got.times, want.times)
+        assert len(got.snapshots) == len(want.snapshots)
+        pairs = zip(got.snapshots, want.snapshots)
+        assert all(np.array_equal(a.values, b.values) for a, b in pairs)
+        assert got.termination is want.termination
+        assert got.guard_time == want.guard_time
 
 
 def test_a_batch_warns_boundary_decay_once_per_row():
@@ -609,9 +626,8 @@ def _bench_equivalence(lambdas):
     )
 
 
-def test_a_batch_costs_the_fft_calls_of_one_run_and_states_every_length(monkeypatch):
-    # Each transform names n = grid.n, so a wrapper that reads the length from
-    # len(a) (the leading axis) cannot miscount a batched call.
+def _fft_lengths(monkeypatch) -> list:
+    """The ``n`` that each later rfft/irfft call states, in call order."""
     lengths = []
     for name in ("rfft", "irfft"):
         fn = getattr(np.fft, name)
@@ -621,6 +637,13 @@ def test_a_batch_costs_the_fft_calls_of_one_run_and_states_every_length(monkeypa
             return fn(a, n, *args, **kw)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return lengths
+
+
+def test_a_batch_costs_the_fft_calls_of_one_run_and_states_every_length(monkeypatch):
+    # Each transform names n = grid.n, so a wrapper that reads the length from
+    # len(a) (the leading axis) cannot miscount a batched call.
+    lengths = _fft_lengths(monkeypatch)
     counts = {}
     for lambdas in ([0.1], [0.1, 0.5, 1.0]):
         scn = _bench_equivalence(lambdas)
@@ -630,6 +653,30 @@ def test_a_batch_costs_the_fft_calls_of_one_run_and_states_every_length(monkeypa
         counts[len(lambdas)] = len(lengths)
     # 100 steps of 8 calls, one rfft of u0 and one first decode
     assert counts == {1: 802, 3: 802}
+
+
+def test_a_forced_ladder_costs_the_fft_calls_of_one_batch_and_states_every_length(monkeypatch):
+    # The benchmark's ManufacturedConvergence request steps its two rungs in
+    # one batch: 8 calls for each of its 120 steps (the coarse rung rides in
+    # the first 60), the rfft of u0, a decode at the start and one when the
+    # coarse rung leaves, and 4 calls for each of 360 forcing evaluations:
+    # 121 + 241 stage times, less t = 0 and t = 8e-4, where the fine rung
+    # meets a time of the coarse one in the same or the previous stage.
+    scn = parse_scenario(
+        {
+            "name": "manufactured-convergence",
+            "kind": "ManufacturedConvergence",
+            "grid": {"kind": "periodic", "n": 128},
+            "params": {"omega": 0.0, "gamma": 0.0},
+            "initial": {"family": "cosine", "amplitude": 1.0},
+            "solver": {"dt": 8.0e-4, "t_end": 0.096, "snapshot_stride": 12},
+            "options": {"dts": [1.6e-3, 8.0e-4], "error_tol": 1.0e-6},
+        }
+    )
+    lengths = _fft_lengths(monkeypatch)
+    assert execute(scn).all_passed
+    assert lengths and all(n == scn.grid.n for n in lengths)
+    assert len(lengths) == 2403
 
 
 def test_trajectory_subsample(pgrid):
@@ -663,19 +710,14 @@ def _decaying_sine():
     )
 
 
-def test_manufactured_forcing_memo(monkeypatch):
+def test_manufactured_forcing_is_evaluated_once_per_distinct_stage_time(monkeypatch):
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.1, -0.3)
     exact = _decaying_sine()
     forcing = d.manufactured_forcing(exact, p, g)
     fresh = d.manufactured_forcing(exact, p, g)
     for t in (0.0, 0.2, 0.2, 0.1):
-        cached = forcing(t)
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0] = 1.0
-        assert np.array_equal(cached, fresh(t))
-    assert np.array_equal(forcing(0.2), fresh(0.2))
+        assert np.array_equal(forcing(t), fresh(t))
 
     rhs_calls = []
     rhs = d.solver.rhs_nonlocal
@@ -685,7 +727,7 @@ def test_manufactured_forcing_memo(monkeypatch):
     counted = lambda t: forcing_calls.append(t) or forcing(t)
     cfg = d.SimConfig(g, p, dt=1.2e-3, t_end=0.12, snapshot_stride=100)
     d.simulate(cfg, exact.field(g, 0.0), forcing=counted)
-    assert len(forcing_calls) == 4 * 100
+    assert len(forcing_calls) == len(set(forcing_calls)) == 2 * 100 + 1
     assert len(rhs_calls) == 2 * 100 + 1
 
 
