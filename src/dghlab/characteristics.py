@@ -23,14 +23,16 @@ samples are bitwise equal to one spline per snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .grid import Field, derivative
 from .helmholtz import apply_lambda2
 from .solver import PhysParams, Trajectory, step_rk4
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PPoly
 
 __all__ = ["evolve_characteristics", "transport_residual"]
 
@@ -76,6 +78,9 @@ class _SnapshotInterpolant:
         self._blocks: dict[int, list[PPoly]] = {}
 
     def _build(self, b: int) -> list[PPoly]:
+        # imported here so that a process that samples no splines never loads scipy
+        from scipy.interpolate import CubicSpline, PPoly
+
         snaps = self._snapshots[b * _BLOCK : (b + 1) * _BLOCK]
         block = np.stack([np.stack([col(f) for col in self._columns], axis=-1) for f in snaps])
         if self._periodic:

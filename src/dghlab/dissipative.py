@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grid import Field
 from .solver import Trajectory
@@ -66,6 +65,9 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
             f"requested times reach tau = {np.max(tau):g}, but the conservative "
             f"run only covers tau <= {tau_grid[-1]:g}"
         )
+    # imported here so that a process that maps no solution never loads scipy
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(tau_grid, conservative.values_matrix(), axis=0)
     damp = np.exp(-lam * times)
     grid = conservative.grid

@@ -22,7 +22,10 @@ node into the two exponential one-sided parts
 so that ``g*f = (P + Q)/2`` and ``(g*f)' = (Q - P)/2`` exactly.  P and Q obey
 one-step recurrences with decaying coefficients, and each panel integral is
 computed exactly against a local cubic interpolant of f, giving a stable
-O(n) scheme with fourth-order accuracy.  The panel weights depend only on
+O(n) scheme with fourth-order accuracy.  Each recurrence is solved as a
+transposed unit-bidiagonal band system (LAPACK ``dtbtrs``), which works
+through the nodes in the recurrence's own order, so the results are bitwise
+equal to running the recurrence itself.  The panel weights depend only on
 the spacing and are cached; the interior panels are a 4-tap correlation of
 f with them.
 """
@@ -34,7 +37,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .grid import Field, Grid, _check_boundary_decay, _spectral_factors, derivative
 
@@ -138,18 +140,38 @@ def _panel_integrals(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return A, B
 
 
+@lru_cache(maxsize=32)
+def _sweep_bands(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (2, n-1) band storage of the unit-bidiagonal P and Q systems.
+
+    The off-diagonal -exp(-h) sits above the diagonal for P and below it for
+    Q; LAPACK reads neither the unit diagonal nor the unused corner entry.
+    """
+    decay = math.exp(-h)
+    upper = np.array([np.full(n - 1, -decay), np.ones(n - 1)], order="F")
+    lower = np.array([np.ones(n - 1), np.full(n - 1, -decay)], order="F")
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
 def _line_exponential_parts(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided exponential integrals P and Q at every node (see module docs)."""
+    # imported here so that a process without a line run never loads scipy
+    from scipy.linalg.lapack import dtbtrs
+
     A, B = _panel_integrals(grid, vals)
-    decay = math.exp(-grid.spacing)
-    # P[i+1] = decay * P[i] + A[i], P[0] = 0
+    upper, lower = _sweep_bands(grid.n, grid.spacing)
+    # P[i+1] = exp(-h) * P[i] + A[i], P[0] = 0
     P = np.empty(grid.n)
     P[0] = 0.0
-    P[1:] = lfilter([1.0], [1.0, -decay], A)
-    # Q[i] = decay * Q[i+1] + B[i], Q[n-1] = 0
+    P[1:], info_p = dtbtrs(upper, A, uplo="U", trans="T", diag="U")
+    # Q[i] = exp(-h) * Q[i+1] + B[i], Q[n-1] = 0
     Q = np.empty(grid.n)
     Q[-1] = 0.0
-    Q[:-1] = lfilter([1.0], [1.0, -decay], B[::-1])[::-1]
+    Q[:-1], info_q = dtbtrs(lower, B, uplo="L", trans="T", diag="U")
+    if info_p or info_q:
+        raise RuntimeError(f"dtbtrs failed on a unit-diagonal band: info {info_p}, {info_q}")
     return P, Q
 
 

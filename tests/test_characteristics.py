@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.interpolate
 
 import dghlab as d
 import dghlab.characteristics as ch
@@ -209,7 +210,7 @@ def test_one_spline_solve_per_block_and_at_most_two_blocks_held(case, monkeypatc
     traj, p, seeds = make(t_end)
     solves = []
     held = []
-    cubic_spline = ch.CubicSpline
+    cubic_spline = scipy.interpolate.CubicSpline
 
     def counting_spline(*args, **kw):
         solves.append(args[1].shape)
@@ -222,7 +223,8 @@ def test_one_spline_solve_per_block_and_at_most_two_blocks_held(case, monkeypatc
             return out
 
     monkeypatch.setattr(ch, "_SnapshotInterpolant", Spy)
-    monkeypatch.setattr(ch, "CubicSpline", counting_spline)
+    # _build imports CubicSpline when it runs, so it reads the patched name
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting_spline)
     n_blocks = math.ceil(len(traj.times) / ch._BLOCK)
     paths = d.evolve_characteristics(traj, seeds)
     assert len(solves) == n_blocks

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import lfilter
 
 import dghlab as d
 from dghlab import GridKind as GK
@@ -282,3 +283,47 @@ def test_line_panel_integrals_are_bitwise_equal_to_sliding_window_oracle(n, monk
         monkeypatch.setattr(d.helmholtz, "_panel_integrals", panel_integrals_reference)
         want = [op(f).values for f in fields for op in (d.invert_lambda2, d.dx_invert_lambda2)]
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _sweeps_by_recurrence(grid, vals):
+    """P and Q by the sequential recurrences of the module docs, run by ``lfilter``."""
+    A, B = d.helmholtz._panel_integrals(grid, vals)
+    decay = math.exp(-grid.spacing)
+    P = np.concatenate(([0.0], lfilter([1.0], [1.0, -decay], A)))
+    Q = np.concatenate((lfilter([1.0], [1.0, -decay], B[::-1])[::-1], [0.0]))
+    return P, Q
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 4096, 16384])
+def test_line_sweeps_are_bitwise_equal_to_the_recurrence(n):
+    g = d.make_grid(GK.TRUNCATED_LINE, n, 20.0)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        vals = rng.normal(size=n) * np.exp(-np.abs(g.nodes) * rng.uniform(0.2, 2.0))
+        got = d.helmholtz._line_exponential_parts(g, vals)
+        want = _sweeps_by_recurrence(g, vals)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_line_sweeps_match_the_recurrence_on_zeros_subnormals_and_nan():
+    g = d.make_grid(GK.TRUNCATED_LINE, 64, 5.0)
+    tiny = np.zeros(g.n)
+    tiny[20] = 1e-310
+    tiny[40:44] = [1.0, -2.0, 0.0, 3.0]
+    nan = np.exp(-g.nodes**2)
+    nan[30] = np.nan
+    for vals in (tiny, nan):
+        got = d.helmholtz._line_exponential_parts(g, vals)
+        want = _sweeps_by_recurrence(g, vals)
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+    P, Q = d.helmholtz._line_exponential_parts(g, nan)
+    assert np.isnan(P[-1]) and np.isnan(Q[0]) and not np.isnan(P[0]) and not np.isnan(Q[-1])
+
+
+def test_line_sweep_bands_are_cached_read_only():
+    g = d.make_grid(GK.TRUNCATED_LINE, 256, 20.0)
+    bands = d.helmholtz._sweep_bands(g.n, g.spacing)
+    assert d.helmholtz._sweep_bands(g.n, g.spacing) is bands
+    for band in bands:
+        assert band.shape == (2, g.n - 1) and band.flags.f_contiguous
+        assert not band.flags.writeable

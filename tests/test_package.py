@@ -1,4 +1,15 @@
-"""The package's public surface: each name declared once, in one module."""
+"""The package's public surface: each name declared once, in one module.
+
+It also pins what importing and running the package loads: no module imports
+scipy at import time, and only the runs that call it load it.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import dghlab
 from dghlab import (
@@ -13,6 +24,8 @@ from dghlab import (
 )
 
 MODULES = (characteristics, diagnostics, dissipative, grid, helmholtz, invariants, profiles, solver)
+SRC = Path(dghlab.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -28,3 +41,73 @@ def test_every_exported_name_resolves_to_its_module_object():
         for name in m.__all__:
             assert getattr(dghlab, name) is getattr(m, name), name
     assert isinstance(dghlab.__version__, str)
+
+
+def _import_time_imports(node: ast.AST):
+    """Import statements that run when the module is imported.
+
+    That is every one outside a function body and an ``if TYPE_CHECKING:`` block.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        elif not (isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING"):
+            yield from _import_time_imports(child)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 10
+    offenders = []
+    for path in sources:
+        for node in _import_time_imports(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not offenders
+
+
+_FOOTPRINT = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    import yaml
+
+    import dghlab
+    import dghlab.cli
+    from dghlab.scenario import load_scenario
+
+    def scipy_modules():
+        # the loaded scipy subpackages, not each of their hundreds of modules
+        return sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.split(".")[0] == "scipy"})
+
+    out = sys.argv[1]
+    configs = sorted(Path("configs").glob("*.yaml"))
+    line = [p for p in configs if yaml.safe_load(p.read_text())["grid"]["kind"] == "line"]
+    assert len(line) == 2, line
+    assert not scipy_modules(), scipy_modules()
+    for p in configs:
+        if p not in line:
+            assert load_scenario(p).grid.is_periodic, p
+            assert not scipy_modules(), (p.name, scipy_modules())
+    for name in ("free_run", "manufactured_convergence", "continuation_probe", "invariant_audit"):
+        assert dghlab.cli.main(["run", f"configs/{name}.yaml", "--output-root", out]) == 0
+        assert not scipy_modules(), (name, scipy_modules())
+    for p in line:
+        assert dghlab.cli.main(["run", str(p), "--output-root", out]) == 0
+    assert "scipy.linalg" in sys.modules
+    assert "scipy.signal" not in sys.modules
+    """
+)
+
+
+def test_only_the_runs_that_call_scipy_load_it(tmp_path):
+    # a fresh interpreter, since this one has long loaded scipy
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
