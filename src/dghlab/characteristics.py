@@ -9,30 +9,21 @@ and measures the residual of that identity.
 The integral in the stretch factor is taken along the path, s -> q(s, x).
 Snapshots are interpolated cubically in space and linearly in time, and the
 seed positions are advanced with the same Runge-Kutta scheme the solver uses.
-
-The splines are built a block of ``_BLOCK = 8`` snapshots at a time, with one
-``CubicSpline`` solve per block, the first time a snapshot of the block is
-sampled. Building a block drops every block but the one before it, so a
-forward sweep solves each block once and at most three blocks are alive:
-the previous block, and the new block's solve output and its copy into
-contiguous per-snapshot arrays (plus the solver's work arrays while it
-runs). Memory is O(8 n) per sampled column instead of O(n_t n), and the
-samples are bitwise equal to one spline per snapshot.
+The cubic through the four nodes nearest a point is the piecewise cubic whose
+panel integrals the line P/Q sweeps take exactly, so the two share one
+interpolant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .grid import Field, derivative
-from .helmholtz import apply_lambda2
+from .helmholtz import _LAGRANGE_INTERIOR, apply_lambda2
 from .solver import PhysParams, Trajectory, step_rk4
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PPoly
 
 __all__ = ["evolve_characteristics", "transport_residual"]
 
@@ -59,55 +50,47 @@ class CharacteristicPaths:
         return self.exit_index < len(self.times)
 
 
-_BLOCK = 8  # snapshots per spline solve
-
-
 class _SnapshotInterpolant:
     """Cubic-in-space, linear-in-time sampler of columns of a trajectory's snapshots.
 
     Each column maps a snapshot Field to its node values; ``blend`` returns
-    one row per column.
+    one row per column.  In space a sample is the cubic through the four
+    nodes nearest it (nodes i-1 .. i+2 around the panel [x_i, x_{i+1}]); on
+    the line the first and last panels take the one-sided four nodes, on the
+    circle node indices wrap.  Snapshot k's columns are computed the first
+    time it is sampled, and only snapshot k - 1's are kept with them: a
+    forward sweep blends snapshots k and k + 1.
     """
 
     def __init__(self, traj: Trajectory, columns: tuple[Callable[[Field], np.ndarray], ...]):
-        grid = traj.grid
+        self._grid = traj.grid
         self._snapshots = traj.snapshots
         self._columns = columns
-        self._periodic = grid.is_periodic
-        self._x = np.append(grid.nodes, grid.length) if self._periodic else grid.nodes
-        self._blocks: dict[int, list[PPoly]] = {}
+        self._held: dict[int, np.ndarray] = {}
 
-    def _build(self, b: int) -> list[PPoly]:
-        # imported here so that a process that samples no splines never loads scipy
-        from scipy.interpolate import CubicSpline, PPoly
-
-        snaps = self._snapshots[b * _BLOCK : (b + 1) * _BLOCK]
-        block = np.stack([np.stack([col(f) for col in self._columns], axis=-1) for f in snaps])
-        if self._periodic:
-            block = np.concatenate((block, block[:, :1]), axis=1)
-            c = CubicSpline(self._x, block, axis=1, bc_type="periodic").c
-        else:
-            c = CubicSpline(self._x, block, axis=1).c
-        # PPoly copies non-contiguous coefficients on every call
-        c = np.ascontiguousarray(np.moveaxis(c, 2, 0))
-        # "periodic" maps q = 1.0 (np.mod of a tiny negative q) to 0.0, as the
-        # per-snapshot periodic CubicSpline does
-        extrapolate = "periodic" if self._periodic else True
-        return [PPoly.construct_fast(ck, self._x, extrapolate) for ck in c]
-
-    def _spline(self, k: int) -> PPoly:
-        b, i = divmod(k, _BLOCK)
-        block = self._blocks.get(b)
-        if block is None:
-            self._blocks = {j: v for j, v in self._blocks.items() if j == b - 1}
-            block = self._blocks[b] = self._build(b)
-        return block[i]
+    def _at(self, k: int) -> np.ndarray:
+        if k not in self._held:
+            self._held = {j: v for j, v in self._held.items() if j == k - 1}
+            self._held[k] = np.stack([col(self._snapshots[k]) for col in self._columns])
+        return self._held[k]
 
     def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
-        qr = np.mod(q, 1.0) if self._periodic else q
+        grid = self._grid
+        qr = np.mod(q, 1.0) if grid.is_periodic else q
+        s = (qr - grid.nodes[0]) / grid.spacing
+        i = np.floor(s)
+        if not grid.is_periodic:
+            i = np.clip(i, 1, grid.n - 3)
+        w = np.vander(s - i, 4, increasing=True) @ _LAGRANGE_INTERIOR.T
+        # np.mod of a tiny negative q is 1.0, i = n: the wrap samples node 0
+        idx = (i.astype(int)[:, None] + np.arange(-1, 3)) % grid.n
+
+        def sample(vals: np.ndarray) -> np.ndarray:
+            return np.sum(vals[:, idx] * w, axis=-1)
+
         if theta == 0.0:
-            return self._spline(k)(qr).T
-        return ((1.0 - theta) * self._spline(k)(qr) + theta * self._spline(k + 1)(qr)).T
+            return sample(self._at(k))
+        return (1.0 - theta) * sample(self._at(k)) + theta * sample(self._at(k + 1))
 
 
 def _values(f: Field) -> np.ndarray:

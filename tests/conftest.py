@@ -154,39 +154,58 @@ def panel_integrals_reference(grid, vals: np.ndarray) -> tuple[np.ndarray, np.nd
     return A, B
 
 
-# -- one spline per snapshot: the oracle for the block-streamed interpolant ---
+# -- the four-node cubic by Lagrange's product: the oracle for the snapshot sampler --
 
 
-class PerSnapshotInterpolant:
-    """One ``CubicSpline`` per snapshot Field, all built up front."""
+class LocalCubicInterpolant:
+    """The cubic through the four nodes nearest each query, one query at a time.
+
+    Lagrange's product formula prod_j (q - x_j) / (x_m - x_j) in physical
+    coordinates. The panel [x_i, x_{i+1}] holding q takes nodes i-1 .. i+2;
+    on the line the first and last panels take the four end nodes, and on the
+    circle q is reduced mod 1, the nodes are unwrapped to i h and their
+    values read at i mod n.
+    """
 
     def __init__(self, grid, fields):
-        from scipy.interpolate import CubicSpline
+        self._grid = grid
+        self._values = [np.array(f.values, dtype=float) for f in fields]
 
-        self._periodic = grid.is_periodic
-        if self._periodic:
-            xk = np.append(grid.nodes, grid.length)
-            self._splines = [
-                CubicSpline(xk, np.append(f.values, f.values[0]), bc_type="periodic")
-                for f in fields
-            ]
+    def _sample(self, vals: np.ndarray, q: float) -> float:
+        grid = self._grid
+        n, h = grid.n, grid.spacing
+        if grid.is_periodic:
+            q = q % 1.0
+            i = math.floor(q / h)
+            stencil = [((i + j) * h, vals[(i + j) % n]) for j in (-1, 0, 1, 2)]
         else:
-            self._splines = [CubicSpline(grid.nodes, f.values) for f in fields]
+            i = min(max(math.floor((q - grid.nodes[0]) / h), 1), n - 3)
+            stencil = [(grid.nodes[i + j], vals[i + j]) for j in (-1, 0, 1, 2)]
+        total = 0.0
+        for m, (xm, fm) in enumerate(stencil):
+            weight = 1.0
+            for j, (xj, _) in enumerate(stencil):
+                if j != m:
+                    weight *= (q - xj) / (xm - xj)
+            total += weight * fm
+        return total
 
     def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
-        qr = np.mod(q, 1.0) if self._periodic else q
+        def at(j):
+            return np.array([self._sample(self._values[j], float(x)) for x in np.atleast_1d(q)])
+
         if theta == 0.0:
-            return self._splines[k](qr)
-        return (1.0 - theta) * self._splines[k](qr) + theta * self._splines[k + 1](qr)
+            return at(k)
+        return (1.0 - theta) * at(k) + theta * at(k + 1)
 
 
 def evolve_characteristics_reference(traj: d.Trajectory, seeds) -> tuple:
-    """``evolve_characteristics`` on per-snapshot splines: (q, qx, exit_index)."""
+    """``evolve_characteristics`` on the Lagrange-product oracle: (q, qx, exit_index)."""
     grid = traj.grid
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     gamma = traj.config.params.gamma
-    u_itp = PerSnapshotInterpolant(grid, traj.snapshots)
-    ux_itp = PerSnapshotInterpolant(grid, [d.derivative(f, 1) for f in traj.snapshots])
+    u_itp = LocalCubicInterpolant(grid, traj.snapshots)
+    ux_itp = LocalCubicInterpolant(grid, [d.derivative(f, 1) for f in traj.snapshots])
     n_t = len(traj.times)
     q = np.full((n_t, seeds.size), np.nan)
     w = np.full((n_t, seeds.size), np.nan)
@@ -214,9 +233,9 @@ def evolve_characteristics_reference(traj: d.Trajectory, seeds) -> tuple:
 
 
 def transport_residual_reference(traj: d.Trajectory, paths, p: d.PhysParams) -> np.ndarray:
-    """``transport_residual(...).max_abs`` on per-snapshot splines."""
+    """``transport_residual(...).max_abs`` on the Lagrange-product oracle."""
     c = p.omega + 0.5 * p.gamma
-    m_itp = PerSnapshotInterpolant(traj.grid, [d.apply_lambda2(f) for f in traj.snapshots])
+    m_itp = LocalCubicInterpolant(traj.grid, [d.apply_lambda2(f) for f in traj.snapshots])
     m0 = m_itp.blend(0, 0.0, paths.seeds)
     res = np.full_like(paths.q, np.nan)
     for k in range(len(traj.times)):

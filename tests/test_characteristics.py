@@ -1,16 +1,15 @@
-import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.interpolate
 
 import dghlab as d
 import dghlab.characteristics as ch
 from dghlab import GridKind as GK
 
 from conftest import (
-    PerSnapshotInterpolant,
+    LocalCubicInterpolant,
     evolve_characteristics_reference,
     run,
     subsample,
@@ -159,11 +158,12 @@ def _circle_case(t_end):
     p = d.PhysParams(0.1, -0.2)
     u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
     cfg = d.SimConfig(g, p, dt=1e-3, t_end=t_end, snapshot_stride=5)
-    # np.mod(-1e-20, 1.0) is exactly 1.0: the periodic spline must map it to 0.0
+    # np.mod(-1e-20, 1.0) is exactly 1.0: the sampler must read node 0 there
     return run(cfg, u0), p, [-1e-20, 0.3, 0.7]
 
 
-# n_t = 21 is not a multiple of the block size 8; n_t = 5 is less than one block
+# a line run where seeds leave mid-run and a circle run with a seed at -1e-20,
+# each long (n_t = 21) and short (n_t = 5)
 STREAM_CASES = {
     "line_21": (_line_case, 1.0),
     "line_5": (_line_case, 0.2),
@@ -174,28 +174,31 @@ STREAM_CASES = {
 
 @pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
-def test_block_streamed_splines_match_per_snapshot_splines_bitwise(case):
+def test_local_cubic_sampler_matches_the_lagrange_oracle(case):
     make, t_end = STREAM_CASES[case]
     traj, p, seeds = make(t_end)
     assert len(traj.times) == (21 if case.endswith("21") else 5)
     columns = (ch._values, ch._slope, ch._momentum)
     itp = ch._SnapshotInterpolant(traj, columns)
     refs = [
-        PerSnapshotInterpolant(traj.grid, [d.Field(traj.grid, col(f)) for f in traj.snapshots])
+        LocalCubicInterpolant(traj.grid, [d.Field(traj.grid, col(f)) for f in traj.snapshots])
         for col in columns
     ]
     q = np.array(seeds)
     for k in range(len(traj.times) - 1):
         for theta in (0.0, 0.5, 1.0):
             want = [ref.blend(k, theta, q) for ref in refs]
-            np.testing.assert_array_equal(itp.blend(k, theta, q), want)
+            np.testing.assert_allclose(itp.blend(k, theta, q), want, rtol=0, atol=1e-13)
     paths = d.evolve_characteristics(traj, seeds)
     q, qx, exit_index = evolve_characteristics_reference(traj, seeds)
-    np.testing.assert_array_equal(paths.q, q)
-    np.testing.assert_array_equal(paths.qx, qx)
     np.testing.assert_array_equal(paths.exit_index, exit_index)
-    np.testing.assert_array_equal(
-        d.transport_residual(traj, paths, p).max_abs, transport_residual_reference(traj, paths, p)
+    np.testing.assert_allclose(paths.q, q, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(paths.qx, qx, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        d.transport_residual(traj, paths, p).max_abs,
+        transport_residual_reference(traj, paths, p),
+        rtol=0,
+        atol=1e-13,
     )
     if case == "line_21":
         assert paths.exited[2] and 0 < paths.exit_index[2] < len(traj.times) - 1
@@ -205,35 +208,76 @@ def test_block_streamed_splines_match_per_snapshot_splines_bitwise(case):
 
 @pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
 @pytest.mark.parametrize("case", ["line_21", "circle_21"])
-def test_one_spline_solve_per_block_and_at_most_two_blocks_held(case, monkeypatch):
+def test_snapshot_columns_evaluated_once_and_two_held(case, monkeypatch):
     make, t_end = STREAM_CASES[case]
     traj, p, seeds = make(t_end)
-    solves = []
+    evaluated = []
     held = []
-    cubic_spline = scipy.interpolate.CubicSpline
 
-    def counting_spline(*args, **kw):
-        solves.append(args[1].shape)
-        return cubic_spline(*args, **kw)
+    def counted(col):
+        def wrapped(f):
+            k = next(i for i, s in enumerate(traj.snapshots) if s is f)
+            evaluated.append((col.__name__, k))
+            return col(f)
+
+        return wrapped
 
     class Spy(ch._SnapshotInterpolant):
-        def _build(self, b):
-            out = super()._build(b)
-            held.append(len(self._blocks) + 1)  # the blocks kept and the new one
+        def _at(self, k):
+            out = super()._at(k)
+            held.append(len(self._held))
             return out
 
     monkeypatch.setattr(ch, "_SnapshotInterpolant", Spy)
-    # _build imports CubicSpline when it runs, so it reads the patched name
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting_spline)
-    n_blocks = math.ceil(len(traj.times) / ch._BLOCK)
+    for name in ("_values", "_slope", "_momentum"):
+        monkeypatch.setattr(ch, name, counted(getattr(ch, name)))
+    every = list(range(len(traj.times)))
     paths = d.evolve_characteristics(traj, seeds)
-    assert len(solves) == n_blocks
-    assert [s[0] for s in solves] == [8, 8, 5]  # u and u_x of 8 + 8 + 5 snapshots
-    assert all(s[-1] == 2 for s in solves)
-    solves.clear()
+    assert evaluated == [(name, k) for k in every for name in ("_values", "_slope")]
+    evaluated.clear()
     d.transport_residual(traj, paths, p)
-    assert len(solves) == n_blocks
-    assert max(held) <= 2
+    assert evaluated == [("_momentum", k) for k in every]
+    assert max(held) == 2
+
+
+def _snapshot_sampler(grid, f):
+    """The sampler over one snapshot holding the node values of f."""
+    traj = SimpleNamespace(grid=grid, snapshots=(d.Field(grid, f(grid.nodes)),))
+    return lambda q: ch._SnapshotInterpolant(traj, (ch._values,)).blend(0, 0.0, np.asarray(q))[0]
+
+
+def test_sampler_reproduces_a_cubic_on_the_line_up_to_both_ends():
+    g = d.make_grid(GK.TRUNCATED_LINE, 64, 5.0)
+    cubic = np.polynomial.Polynomial([1.0, 0.5, -0.3, 0.02])
+    x, h = g.nodes, g.spacing
+    q = np.concatenate([
+        np.random.default_rng(7).uniform(x[0], x[-1], 200),
+        [x[0], x[-1], x[0] + 1e-9, x[-1] - 1e-9, x[0] + 0.3 * h, x[-1] - 0.3 * h, x[1], x[-2]],
+    ])
+    err = np.abs(_snapshot_sampler(g, cubic)(q) - cubic(q))
+    assert np.max(err) <= 1e-14 * np.max(np.abs(cubic(x)))
+
+
+def _circle_field(x):
+    return np.sin(2 * np.pi * x) + 0.5 * np.cos(4 * np.pi * x)
+
+
+def test_sampler_wraps_the_circle_at_both_ends():
+    g = d.make_grid(GK.PERIODIC, 128)
+    q = np.array([-1e-20, 0.0, 1.0, 0.999999])
+    err = np.abs(_snapshot_sampler(g, _circle_field)(q) - _circle_field(q))
+    # the first three read node 0 (np.mod(-1e-20, 1.0) is 1.0); 1e-6 before it
+    # the cubic's own error is about 5e-10, a wrong node would be off by 0.05
+    assert np.max(err[:3]) <= 1e-15 and err[3] < 1e-9
+
+
+def test_sampler_is_fourth_order_on_the_circle():
+    q = np.random.default_rng(11).uniform(0.0, 1.0, 2000)
+    samplers = [
+        _snapshot_sampler(d.make_grid(GK.PERIODIC, n), _circle_field) for n in (64, 128, 256)
+    ]
+    errs = [np.max(np.abs(sample(q) - _circle_field(q))) for sample in samplers]
+    assert errs[0] / errs[1] >= 14 and errs[1] / errs[2] >= 14
 
 
 def test_worst_skips_the_times_after_every_seed_has_left():

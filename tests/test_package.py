@@ -99,6 +99,8 @@ _FOOTPRINT = textwrap.dedent(
         assert dghlab.cli.main(["run", str(p), "--output-root", out]) == 0
     assert "scipy.linalg" in sys.modules
     assert "scipy.signal" not in sys.modules
+    # only map_solution (DissipativeEquivalence) imports scipy.interpolate
+    assert "scipy.interpolate" not in sys.modules
     """
 )
 
