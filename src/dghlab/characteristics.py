@@ -11,7 +11,8 @@ Snapshots are interpolated cubically in space and linearly in time, and the
 seed positions are advanced with the same Runge-Kutta scheme the solver uses.
 The cubic through the four nodes nearest a point is the piecewise cubic whose
 panel integrals the line P/Q sweeps take exactly, so the two share one
-interpolant.
+interpolant.  Each Runge-Kutta stage samples every seed with one stencil and
+one gather over the two snapshots it blends.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class CharacteristicPaths:
         return self.exit_index < len(self.times)
 
 
+# node offsets of the four taps around the panel [x_i, x_{i+1}], one row per tap
+_TAPS = np.arange(-1, 3)[:, None]
+
+
 class _SnapshotInterpolant:
     """Cubic-in-space, linear-in-time sampler of columns of a trajectory's snapshots.
 
@@ -58,39 +63,55 @@ class _SnapshotInterpolant:
     nodes nearest it (nodes i-1 .. i+2 around the panel [x_i, x_{i+1}]); on
     the line the first and last panels take the one-sided four nodes, on the
     circle node indices wrap.  Snapshot k's columns are computed the first
-    time it is sampled, and only snapshot k - 1's are kept with them: a
-    forward sweep blends snapshots k and k + 1.
+    time it is sampled into slot k % 2 of one (2, columns, n) array, and only
+    snapshot k - 1's are kept with them: a forward sweep blends snapshots k
+    and k + 1, and one ``take`` on the two slots gathers both.
     """
 
     def __init__(self, traj: Trajectory, columns: tuple[Callable[[Field], np.ndarray], ...]):
-        self._grid = traj.grid
+        grid = traj.grid
+        self._periodic = grid.is_periodic
+        self._x0, self._h, self._n = grid.nodes[0], grid.spacing, grid.n
         self._snapshots = traj.snapshots
         self._columns = columns
+        self._slots = np.empty((2, len(columns), grid.n))
         self._held: dict[int, np.ndarray] = {}
 
     def _at(self, k: int) -> np.ndarray:
         if k not in self._held:
             self._held = {j: v for j, v in self._held.items() if j == k - 1}
-            self._held[k] = np.stack([col(self._snapshots[k]) for col in self._columns])
+            slot = self._slots[k % 2]
+            for c, col in enumerate(self._columns):
+                slot[c] = col(self._snapshots[k])
+            self._held[k] = slot
         return self._held[k]
 
     def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
-        grid = self._grid
-        qr = np.mod(q, 1.0) if grid.is_periodic else q
-        s = (qr - grid.nodes[0]) / grid.spacing
+        qr = np.mod(q, 1.0) if self._periodic else q
+        s = (qr - self._x0) / self._h
         i = np.floor(s)
-        if not grid.is_periodic:
-            i = np.clip(i, 1, grid.n - 3)
-        w = np.vander(s - i, 4, increasing=True) @ _LAGRANGE_INTERIOR.T
-        # np.mod of a tiny negative q is 1.0, i = n: the wrap samples node 0
-        idx = (i.astype(int)[:, None] + np.arange(-1, 3)) % grid.n
-
-        def sample(vals: np.ndarray) -> np.ndarray:
-            return np.sum(vals[:, idx] * w, axis=-1)
-
+        if not self._periodic:
+            i = np.clip(i, 1, self._n - 3)
+        t = s - i
+        # the rows np.vander(t, 4, increasing=True) builds, without its overhead
+        powers = np.empty((t.size, 4))
+        powers[:, 0] = 1.0
+        powers[:, 1] = t
+        np.multiply(t, t, out=powers[:, 2])
+        np.multiply(powers[:, 2], t, out=powers[:, 3])
+        w = (powers @ _LAGRANGE_INTERIOR.T).T
+        idx = i.astype(int) + _TAPS
+        if self._periodic:
+            # np.mod of a tiny negative q is 1.0, i = n: the wrap samples node 0
+            idx %= self._n
+        # add.reduce over the tap axis sums 0 + w0 g0 + w1 g1 + w2 g2 + w3 g3
+        # left to right, bitwise what np.sum gives over a (..., 4) axis
         if theta == 0.0:
-            return sample(self._at(k))
-        return (1.0 - theta) * sample(self._at(k)) + theta * sample(self._at(k + 1))
+            return np.add.reduce(self._at(k).take(idx, axis=-1) * w, axis=-2)
+        self._at(k)
+        self._at(k + 1)
+        both = np.add.reduce(self._slots.take(idx, axis=-1) * w, axis=-2)
+        return (1.0 - theta) * both[k % 2] + theta * both[(k + 1) % 2]
 
 
 def _values(f: Field) -> np.ndarray:
@@ -106,11 +127,16 @@ def _momentum(f: Field) -> np.ndarray:
 
 
 def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
-    """Integrate seed particles through the flow of a stored trajectory."""
+    """Integrate seed particles through the flow of a stored trajectory.
+
+    Whole rows are stepped while every seed is inside the domain; after the
+    first exit from a truncated line, only the seeds still inside are.
+    """
     grid = traj.grid
+    x_lo, x_hi = grid.nodes[0], grid.nodes[-1]
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     if not grid.is_periodic:
-        if np.any(seeds < grid.nodes[0]) or np.any(seeds > grid.nodes[-1]):
+        if np.any(seeds < x_lo) or np.any(seeds > x_hi):
             raise ValueError("seeds must lie inside the grid")
     gamma = traj.config.params.gamma
     itp = _SnapshotInterpolant(traj, (_values, _slope))
@@ -123,28 +149,31 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
     q[0] = seeds
     w[0] = 0.0
 
-    active = np.ones(n_s, dtype=bool)
-    for k in range(n_t - 1):
-        if not np.any(active):
-            break
+    inside = np.ones(n_s, dtype=bool)
+    rows = slice(None)  # every seed until the first one leaves, then the mask inside
+    for k in range(n_t - 1 if n_s else 0):
         dt = traj.times[k + 1] - traj.times[k]
 
         def rate(t: float, qw: np.ndarray) -> np.ndarray:
             # (q, log q_x)' = (u - gamma, u_x) at the blend t / dt of snapshots k, k+1
-            u, ux = itp.blend(k, t / dt, qw[0])
-            return np.array((u - gamma, ux))
+            du = itp.blend(k, t / dt, qw[0])
+            du[0] -= gamma
+            return du
 
-        q[k + 1, active], w[k + 1, active] = step_rk4(
-            np.array((q[k, active], w[k, active])), 0.0, dt, rate
+        q[k + 1, rows], w[k + 1, rows] = step_rk4(
+            np.array((q[k, rows], w[k, rows])), 0.0, dt, rate
         )
-        if not grid.is_periodic:
-            out = (q[k + 1] < grid.nodes[0]) | (q[k + 1] > grid.nodes[-1])
-            newly = out & active
-            if np.any(newly):
-                exit_index[newly] = k + 1
-                q[k + 1, newly] = np.nan
-                w[k + 1, newly] = np.nan
-                active = active & ~newly
+        if grid.is_periodic:
+            continue
+        newly = (q[k + 1] < x_lo) | (q[k + 1] > x_hi)
+        if np.any(newly):
+            exit_index[newly] = k + 1
+            q[k + 1, newly] = np.nan
+            w[k + 1, newly] = np.nan
+            inside &= ~newly
+            rows = inside
+            if not np.any(inside):
+                break
     return CharacteristicPaths(seeds, traj.times.copy(), q, np.exp(w), exit_index)
 
 
@@ -174,13 +203,18 @@ def transport_residual(
     c = p.omega + 0.5 * p.gamma
     m_itp = _SnapshotInterpolant(traj, (_momentum,))
     (m0_at_seeds,) = m_itp.blend(0, 0.0, paths.seeds)
+    m0c = m0_at_seeds + c
+    first_exit = int(np.min(paths.exit_index)) if paths.exit_index.size else 0
 
     max_abs = np.full(len(traj.times), np.nan)
     for k in range(len(traj.times)):
-        valid = paths.exit_index > k
-        if not np.any(valid):
-            break
-        (mq,) = m_itp.blend(k, 0.0, paths.q[k, valid])
-        res = (m0_at_seeds[valid] + c) - (mq + c) * paths.qx[k, valid] ** 2
+        if k < first_exit:
+            rows = slice(None)  # every seed is inside: whole rows, no masks
+        else:
+            rows = paths.exit_index > k
+            if not np.any(rows):
+                break
+        (mq,) = m_itp.blend(k, 0.0, paths.q[k, rows])
+        res = m0c[rows] - (mq + c) * paths.qx[k, rows] ** 2
         max_abs[k] = np.fmax.reduce(np.abs(res))
     return TransportResidual(traj.times.copy(), max_abs)

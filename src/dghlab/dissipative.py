@@ -11,11 +11,14 @@ member of the family (third-order dispersion coefficient zero); with a
 nonzero drift coefficient the drift term picks up a factor exp(lambda t)
 under the substitution, so the transformed equation is autonomous only in
 that drift-free case.  ``map_solution`` applies the change of variables for
-any parameters and the equivalence experiment quantifies the match.
+any parameters and the equivalence experiment quantifies the match; the
+spline in tau through an undamped run is solved once and shared by every
+lambda mapped from that run.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,10 +68,7 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
             f"requested times reach tau = {np.max(tau):g}, but the conservative "
             f"run only covers tau <= {tau_grid[-1]:g}"
         )
-    # imported here so that a process that maps no solution never loads scipy
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(tau_grid, conservative.values_matrix(), axis=0)
+    spline = _tau_spline(conservative)
     damp = np.exp(-lam * times)
     grid = conservative.grid
     snaps = tuple(
@@ -77,6 +77,29 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
     )
     cfg = replace(conservative.config, params=replace(conservative.config.params, lam=lam))
     return Trajectory(cfg, times, snaps, conservative.termination, conservative.guard_time)
+
+
+# id of the undamped run mapped last -> its spline in tau, dropped with the run
+_TAU_SPLINE: dict[int, object] = {}
+
+
+def _tau_spline(conservative: Trajectory):
+    """The cubic spline in tau through an undamped run's snapshots, solved once per run.
+
+    DissipativeEquivalence maps one undamped run for every lambda; the last
+    run's spline is kept while that run lives, so the lambdas share it.
+    """
+    key = id(conservative)
+    spline = _TAU_SPLINE.get(key)
+    if spline is None:
+        # imported here so that a process that maps no solution never loads scipy
+        from scipy.interpolate import CubicSpline
+
+        spline = CubicSpline(conservative.times, conservative.values_matrix(), axis=0)
+        _TAU_SPLINE.clear()
+        _TAU_SPLINE[key] = spline
+        weakref.finalize(conservative, _TAU_SPLINE.pop, key, None)
+    return spline
 
 
 @dataclass(frozen=True)

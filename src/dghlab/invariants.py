@@ -6,7 +6,8 @@ Tracked quantities:
   H^1 norm), invariant for conservative strong solutions;
 * the mass ``int u dx``;
 * a cubic functional in two printed variants (see ``H2Variant``), exactly one
-  of which is conserved -- the drift study discriminates them empirically;
+  of which is conserved -- the drift study discriminates them empirically
+  (its cubes are products, not ``**3``: see ``hamiltonian_h2``);
 * the exponentially weighted momenta ``int exp(+-x) (m + omega + gamma/2) dx``
   on the truncated line.
 
@@ -75,20 +76,22 @@ class H2Variant(enum.Enum):
 
 
 def hamiltonian_h2(u: Field, p: PhysParams, variant: H2Variant) -> float:
-    """int (u^3 + X + 2 omega u^2 - gamma u_x^2) dx with X per the variant."""
-    ux = derivative(u, 1)
+    """int (u^3 + X + 2 omega u^2 - gamma u_x^2) dx with X per the variant.
+
+    Cubes are products of squares, (v * v) * v: numpy sends ``v**3`` to
+    libm's ``pow``, which takes a slow path for negative bases, and u_x
+    always has both signs.  The two differ by rounding only.
+    """
+    vals = u.values
+    ux = derivative(u, 1).values
+    u2, ux2 = vals * vals, ux * ux
     if variant is H2Variant.AS_WRITTEN:
-        cubic = ux.values**3
+        cubic = ux2 * ux
     elif variant is H2Variant.CUBIC_GRADIENT:
-        cubic = u.values * ux.values**2
+        cubic = vals * ux2
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    integrand = (
-        u.values**3
-        + cubic
-        + 2.0 * p.omega * u.values**2
-        - p.gamma * ux.values**2
-    )
+    integrand = u2 * vals + cubic + 2.0 * p.omega * u2 - p.gamma * ux2
     return integrate(Field(u.grid, integrand))
 
 

@@ -240,6 +240,55 @@ def test_snapshot_columns_evaluated_once_and_two_held(case, monkeypatch):
     assert max(held) == 2
 
 
+def _with_extra_seeds(case, count=40):
+    """A STREAM_CASES run with ``count`` more seeds spread over its domain."""
+    make, t_end = STREAM_CASES[case]
+    traj, p, seeds = make(t_end)
+    g = traj.grid
+    lo, hi = (g.nodes[0], g.nodes[-1]) if not g.is_periodic else (-0.5, 1.5)
+    extra = np.random.default_rng(17).uniform(lo, hi, count)
+    return traj, p, np.concatenate([seeds, extra, [lo, hi]])
+
+
+@pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
+@pytest.mark.parametrize("case", ["line_21", "circle_21"])
+def test_each_seed_moves_as_if_it_were_alone(case):
+    # whole rows before the first exit, masked rows after it: neither may let
+    # one seed's arithmetic depend on the others
+    traj, p, seeds = _with_extra_seeds(case)
+    paths = d.evolve_characteristics(traj, seeds)
+    if case == "line_21":
+        assert 0 < np.min(paths.exit_index) < len(traj.times) - 1
+        assert not np.all(paths.exited)
+    for j in range(seeds.size):
+        alone = d.evolve_characteristics(traj, seeds[j : j + 1])
+        np.testing.assert_array_equal(paths.q[:, j : j + 1], alone.q)
+        np.testing.assert_array_equal(paths.qx[:, j : j + 1], alone.qx)
+        assert paths.exit_index[j] == alone.exit_index[0]
+
+
+@pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
+@pytest.mark.parametrize("case", ["line_21", "circle_21"])
+def test_blend_in_time_equals_the_blend_of_two_samples(case):
+    # theta > 0 gathers snapshots k and k + 1 in one take; the result must be
+    # the linear blend of the two theta = 0 samples, bit for bit
+    traj, p, seeds = _with_extra_seeds(case)
+    g, h = traj.grid, traj.grid.spacing
+    if g.is_periodic:
+        ends = [-1e-20, 0.0, 1.0, 1.0 - 0.3 * h, 0.3 * h]
+    else:
+        x = g.nodes
+        ends = [x[0], x[0] + 0.3 * h, x[1] + 0.5 * h, x[-1], x[-1] - 0.3 * h, x[-2] - 0.5 * h]
+    q = np.concatenate([seeds, ends])
+    columns = (ch._values, ch._slope, ch._momentum)
+    itp = ch._SnapshotInterpolant(traj, columns)
+    for k in range(len(traj.times) - 1):
+        for theta in (0.25, 0.5, 1.0):
+            want = (1.0 - theta) * itp.blend(k, 0.0, q) + theta * itp.blend(k + 1, 0.0, q)
+            got = itp.blend(k, theta, q)
+            assert got.tobytes() == want.tobytes(), (k, theta)
+
+
 def _snapshot_sampler(grid, f):
     """The sampler over one snapshot holding the node values of f."""
     traj = SimpleNamespace(grid=grid, snapshots=(d.Field(grid, f(grid.nodes)),))

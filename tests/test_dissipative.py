@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,3 +153,40 @@ def test_direct_damped_run_matches_transformed_conservative():
     mapped = d.map_solution(cons, lam, times=direct.times)
     rep = d.equivalence_report(direct, mapped)
     assert rep.worst < 1e-5
+
+
+def _equivalence_run_counting_splines(monkeypatch, cache) -> tuple[int, dict]:
+    """execute() of the shipped config, with CubicSpline constructions counted."""
+    import scipy.interpolate
+
+    from dghlab import dissipative
+    from dghlab.experiments import execute
+    from dghlab.scenario import load_scenario
+
+    built = []
+
+    class CountingSpline(scipy.interpolate.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
+    monkeypatch.setattr(dissipative, "_TAU_SPLINE", cache)
+    config = Path(__file__).resolve().parent.parent / "configs" / "dissipative_equivalence.yaml"
+    result = execute(load_scenario(config))
+    return len(built), result.metadata["max_error_by_lambda"]
+
+
+class _NoCache(dict):
+    """Forgets every spline: one solve per lambda."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_one_tau_spline_per_undamped_run(monkeypatch):
+    once, errors = _equivalence_run_counting_splines(monkeypatch, {})
+    per_lambda, want = _equivalence_run_counting_splines(monkeypatch, _NoCache())
+    assert once == 1
+    assert per_lambda == len(want) > 1
+    assert errors == want  # the shared spline gives the same floats

@@ -64,6 +64,36 @@ def test_h2_zero_and_sine():
     assert d.hamiltonian_h2(u, p, d.H2Variant.CUBIC_GRADIENT) == pytest.approx(1.0, rel=1e-10)
 
 
+def _mixed_sign_fields():
+    """A shifted cosine on the circle and a bump's u on the line: u_x has both signs."""
+    g = d.make_grid(GK.PERIODIC, 256)
+    yield d.Field.from_function(g, lambda x: 0.4 + np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
+    gl = d.make_grid(GK.TRUNCATED_LINE, 1024, 20.0)
+    yield d.make_profile(gl, "bump", space="m", amplitude=0.8, center=0.2, width=1.0)
+
+
+def test_h2_cubes_by_multiplication_match_np_power():
+    p = d.PhysParams(0.3, -0.2)
+    for u in _mixed_sign_fields():
+        v, ux = u.values, d.derivative(u, 1).values
+        assert np.any(ux < 0) and np.any(ux > 0)
+        cubic = {
+            d.H2Variant.AS_WRITTEN: np.power(ux, 3),
+            d.H2Variant.CUBIC_GRADIENT: v * np.power(ux, 2),
+        }
+        for variant in d.H2Variant:
+            integrand = np.power(v, 3) + cubic[variant] + 2.0 * p.omega * v**2 - p.gamma * ux**2
+            want = d.integrate(d.Field(u.grid, integrand))
+            assert d.hamiltonian_h2(u, p, variant) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_energy_and_mass_are_the_plain_formulas_bitwise():
+    for u in _mixed_sign_fields():
+        ux = d.derivative(u, 1).values
+        assert d.energy_h1(u) == 0.5 * d.integrate(d.Field(u.grid, u.values**2 + ux**2))
+        assert d.mass(u) == d.integrate(u)
+
+
 def test_weighted_momentum_zero_case():
     g = d.make_grid(GK.TRUNCATED_LINE, 512, 15.0)
     p = d.PhysParams(0.5, -1.0)  # omega + gamma/2 = 0
