@@ -62,10 +62,10 @@ class _SnapshotInterpolant:
     one row per column.  In space a sample is the cubic through the four
     nodes nearest it (nodes i-1 .. i+2 around the panel [x_i, x_{i+1}]); on
     the line the first and last panels take the one-sided four nodes, on the
-    circle node indices wrap.  Snapshot k's columns are computed the first
-    time it is sampled into slot k % 2 of one (2, columns, n) array, and only
-    snapshot k - 1's are kept with them: a forward sweep blends snapshots k
-    and k + 1, and one ``take`` on the two slots gathers both.
+    circle node indices wrap.  Snapshot k's columns are computed into slot
+    k % 2 of one (2, columns, n) array when that slot holds another snapshot:
+    a forward sweep blends snapshots k and k + 1, and one ``take`` on the two
+    slots gathers both.
     """
 
     def __init__(self, traj: Trajectory, columns: tuple[Callable[[Field], np.ndarray], ...]):
@@ -75,16 +75,15 @@ class _SnapshotInterpolant:
         self._snapshots = traj.snapshots
         self._columns = columns
         self._slots = np.empty((2, len(columns), grid.n))
-        self._held: dict[int, np.ndarray] = {}
+        self._loaded = [-1, -1]  # the snapshot each slot holds
 
     def _at(self, k: int) -> np.ndarray:
-        if k not in self._held:
-            self._held = {j: v for j, v in self._held.items() if j == k - 1}
-            slot = self._slots[k % 2]
+        slot = self._slots[k % 2]
+        if self._loaded[k % 2] != k:
             for c, col in enumerate(self._columns):
                 slot[c] = col(self._snapshots[k])
-            self._held[k] = slot
-        return self._held[k]
+            self._loaded[k % 2] = k
+        return slot
 
     def blend(self, k: int, theta: float, q: np.ndarray) -> np.ndarray:
         qr = np.mod(q, 1.0) if self._periodic else q
@@ -174,7 +173,7 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
             rows = inside
             if not np.any(inside):
                 break
-    return CharacteristicPaths(seeds, traj.times.copy(), q, np.exp(w), exit_index)
+    return CharacteristicPaths(seeds, traj.times, q, np.exp(w), exit_index)
 
 
 @dataclass(frozen=True)
@@ -217,4 +216,4 @@ def transport_residual(
         (mq,) = m_itp.blend(k, 0.0, paths.q[k, rows])
         res = m0c[rows] - (mq + c) * paths.qx[k, rows] ** 2
         max_abs[k] = np.fmax.reduce(np.abs(res))
-    return TransportResidual(traj.times.copy(), max_abs)
+    return TransportResidual(traj.times, max_abs)

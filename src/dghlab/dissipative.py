@@ -12,14 +12,14 @@ nonzero drift coefficient the drift term picks up a factor exp(lambda t)
 under the substitution, so the transformed equation is autonomous only in
 that drift-free case.  ``map_solution`` applies the change of variables for
 any parameters and the equivalence experiment quantifies the match; the
-spline in tau through an undamped run is solved once and shared by every
-lambda mapped from that run.
+spline in tau through an undamped run is solved once, shared by every
+lambda mapped from it, and kept with the run until another run is mapped.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,37 +69,24 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
             f"run only covers tau <= {tau_grid[-1]:g}"
         )
     spline = _tau_spline(conservative)
-    damp = np.exp(-lam * times)
-    grid = conservative.grid
-    snaps = tuple(
-        Field(grid, damp[k] * spline(min(tau[k], tau_grid[-1])))
-        for k in range(times.size)
-    )
+    damped = np.exp(-lam * times)[:, None] * spline(np.minimum(tau, tau_grid[-1]))
+    snaps = tuple(Field(conservative.grid, row) for row in damped)
     cfg = replace(conservative.config, params=replace(conservative.config.params, lam=lam))
     return Trajectory(cfg, times, snaps, conservative.termination, conservative.guard_time)
 
 
-# id of the undamped run mapped last -> its spline in tau, dropped with the run
-_TAU_SPLINE: dict[int, object] = {}
-
-
+@lru_cache(maxsize=1)
 def _tau_spline(conservative: Trajectory):
     """The cubic spline in tau through an undamped run's snapshots, solved once per run.
 
-    DissipativeEquivalence maps one undamped run for every lambda; the last
-    run's spline is kept while that run lives, so the lambdas share it.
+    DissipativeEquivalence maps one undamped run for every lambda, and the
+    lambdas share its spline.  Runs hash by identity, so the cache holds the
+    last run mapped: that run stays referenced until another run is mapped.
     """
-    key = id(conservative)
-    spline = _TAU_SPLINE.get(key)
-    if spline is None:
-        # imported here so that a process that maps no solution never loads scipy
-        from scipy.interpolate import CubicSpline
+    # imported here so that a process that maps no solution never loads scipy
+    from scipy.interpolate import CubicSpline
 
-        spline = CubicSpline(conservative.times, conservative.values_matrix(), axis=0)
-        _TAU_SPLINE.clear()
-        _TAU_SPLINE[key] = spline
-        weakref.finalize(conservative, _TAU_SPLINE.pop, key, None)
-    return spline
+    return CubicSpline(conservative.times, conservative.values_matrix(), axis=0)
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,11 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
     result.metadata["errors"] = {f"{d:g}": e for d, e in errors}
     finest = errors[-1][1]
     result.checks.append(Check("exact_solution_reproduced", finest < err_tol, finest, err_tol))
+    if any(e == 0.0 for _, e in errors):
+        result.metadata["observed_order"] = None
+        undefined = "order undefined: an error is exactly 0"
+        result.checks.append(Check("temporal_order", False, None, expected_order, undefined))
+        return result
     orders = [
         math.log2(errors[i][1] / errors[i + 1][1])
         / math.log2(errors[i][0] / errors[i + 1][0])

@@ -107,7 +107,7 @@ def drift_series(
 ) -> FunctionalSeries:
     """Evaluate a functional on every snapshot of a trajectory."""
     values = np.array([functional(u) for u in traj.snapshots])
-    return FunctionalSeries(name, traj.times.copy(), values)
+    return FunctionalSeries(name, traj.times, values)
 
 
 SHRINK_FACTOR = 6.0

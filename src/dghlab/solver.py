@@ -114,9 +114,13 @@ class Termination(enum.Enum):
     NON_FINITE = "non_finite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Snapshots (t, u) of one run, with strictly increasing times from t = 0."""
+    """Snapshots (t, u) of one run, with strictly increasing times from t = 0.
+
+    An immutable record, compared and hashed by identity: ``times`` is a
+    read-only float copy of the array given and ``snapshots`` a tuple.
+    """
 
     config: SimConfig
     times: np.ndarray
@@ -125,12 +129,14 @@ class Trajectory:
     guard_time: Optional[float] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)
+        t.setflags(write=False)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
         if t.size != len(self.snapshots):
             raise ValueError("times and snapshots disagree in length")
         if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("snapshot times must increase strictly from t = 0")
-        object.__setattr__(self, "times", t)
 
     @property
     def grid(self) -> Grid:
@@ -375,7 +381,7 @@ def _simulate_rows(
         if live:  # a batch loses some rows
             state, t = state[stay], t[stay]
     return [
-        Trajectory(config, np.asarray(times[i]), tuple(snaps[i]), ends[i], guard_times[i])
+        Trajectory(config, times[i], snaps[i], ends[i], guard_times[i])
         for i, config in enumerate(configs)
     ]
 

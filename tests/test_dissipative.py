@@ -155,11 +155,10 @@ def test_direct_damped_run_matches_transformed_conservative():
     assert rep.worst < 1e-5
 
 
-def _equivalence_run_counting_splines(monkeypatch, cache) -> tuple[int, dict]:
+def _equivalence_run_counting_splines(monkeypatch) -> tuple[int, dict]:
     """execute() of the shipped config, with CubicSpline constructions counted."""
     import scipy.interpolate
 
-    from dghlab import dissipative
     from dghlab.experiments import execute
     from dghlab.scenario import load_scenario
 
@@ -171,22 +170,20 @@ def _equivalence_run_counting_splines(monkeypatch, cache) -> tuple[int, dict]:
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
-    monkeypatch.setattr(dissipative, "_TAU_SPLINE", cache)
     config = Path(__file__).resolve().parent.parent / "configs" / "dissipative_equivalence.yaml"
     result = execute(load_scenario(config))
     return len(built), result.metadata["max_error_by_lambda"]
 
 
-class _NoCache(dict):
-    """Forgets every spline: one solve per lambda."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def test_one_tau_spline_per_undamped_run(monkeypatch):
-    once, errors = _equivalence_run_counting_splines(monkeypatch, {})
-    per_lambda, want = _equivalence_run_counting_splines(monkeypatch, _NoCache())
+    from dghlab import dissipative
+
+    dissipative._tau_spline.cache_clear()
+    once, errors = _equivalence_run_counting_splines(monkeypatch)
     assert once == 1
+    assert _equivalence_run_counting_splines(monkeypatch)[0] == 1  # a second run, one more
+    # without the cache: one solve per lambda
+    monkeypatch.setattr(dissipative, "_tau_spline", dissipative._tau_spline.__wrapped__)
+    per_lambda, want = _equivalence_run_counting_splines(monkeypatch)
     assert per_lambda == len(want) > 1
     assert errors == want  # the shared spline gives the same floats

@@ -675,6 +675,26 @@ def test_manufactured_scenario(tmp_path):
     assert abs(meta["results"]["observed_order"] - 4.0) <= 0.2
 
 
+@pytest.mark.parametrize("initial", [{"family": "cosine", "amplitude": 0.0}, {"family": "zero"}])
+def test_manufactured_zero_solution_fails_the_order_exit_one(tmp_path, initial):
+    # every rung reproduces u = 0 exactly: no order can be measured from zero errors
+    doc = {
+        "name": "mms-zero",
+        "kind": "ManufacturedConvergence",
+        "grid": {"kind": "periodic", "n": 32},
+        "params": {"omega": 0.0, "gamma": 0.0},
+        "initial": initial,
+        "solver": {"dt": 3.2e-3, "t_end": 0.096, "snapshot_stride": 30},
+    }
+    checks = _failed_checks(tmp_path, doc)
+    assert checks["exact_solution_reproduced"]["passed"]
+    order = checks["temporal_order"]
+    assert not order["passed"] and order["value"] is None
+    assert order["detail"] == "order undefined: an error is exactly 0"
+    meta = json.loads((tmp_path / "out" / "mms-zero" / "metadata.json").read_text())
+    assert meta["results"]["observed_order"] is None
+
+
 def test_manufactured_scenario_with_damping(tmp_path):
     # the forcing must be built from the damped right-hand side that is stepped
     doc = {

@@ -688,6 +688,28 @@ def test_trajectory_subsample(pgrid):
     assert len(sub.snapshots) < len(traj.snapshots)
 
 
+def test_trajectory_keeps_a_read_only_copy_of_its_times(pgrid):
+    snaps = [d.Field.zeros(pgrid), d.Field.zeros(pgrid)]
+    cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), dt=0.1, t_end=0.1)
+    t = np.array([0.0, 0.1])
+    tr = d.Trajectory(cfg, t, snaps, d.Termination.COMPLETED)
+    t[1] = -5.0
+    assert tr.times.tolist() == [0.0, 0.1]
+    assert not tr.times.flags.writeable
+    with pytest.raises(ValueError):
+        tr.times[1] = 0.2
+    assert isinstance(tr.snapshots, tuple) and tr.snapshots == tuple(snaps)
+
+
+def test_trajectories_compare_and_hash_by_identity(pgrid):
+    cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), dt=5e-4, t_end=0.01, snapshot_stride=5)
+    u0 = d.Field.from_function(pgrid, lambda x: 0.1 * np.cos(2 * np.pi * x))
+    a, b = d.simulate(cfg, u0), d.simulate(cfg, u0)
+    assert a != b and a == a
+    assert len({a, b, a}) == 2
+    assert not a.times.flags.writeable
+
+
 # -- manufactured solutions ---------------------------------------------------
 
 
