@@ -15,7 +15,7 @@ events:
   u itself is quiet;
 * ``tail_decay_fit`` fits the exponential decay rate of a field's tail;
 * ``vanishing_rectangle`` finds maximal space-time rectangles on which a
-  trajectory stays below a tolerance (nontrivial runs should admit none).
+  trajectory stays below a tolerance (a truncated line's far tails can).
 """
 
 from __future__ import annotations

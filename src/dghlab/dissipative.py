@@ -11,15 +11,12 @@ member of the family (third-order dispersion coefficient zero); with a
 nonzero drift coefficient the drift term picks up a factor exp(lambda t)
 under the substitution, so the transformed equation is autonomous only in
 that drift-free case.  ``map_solution`` applies the change of variables for
-any parameters and the equivalence experiment quantifies the match; the
-spline in tau through an undamped run is solved once, shared by every
-lambda mapped from it, and kept with the run until another run is mapped.
+any parameters and the equivalence experiment quantifies the match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +43,8 @@ def to_conservative_time(t, lam: float):
 def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory:
     """Damped-time snapshots u(t, x) = exp(-lam t) v(tau(t), x).
 
-    ``v`` is interpolated cubically in tau between the conservative snapshots.
+    ``v`` at each tau is the cubic through the four stored snapshots nearest
+    in tau (the line or parabola through all of a run of two or three).
     The requested times (default: images of the conservative snapshot times)
     must map into the covered tau range.
     """
@@ -68,25 +66,20 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
             f"requested times reach tau = {np.max(tau):g}, but the conservative "
             f"run only covers tau <= {tau_grid[-1]:g}"
         )
-    spline = _tau_spline(conservative)
-    damped = np.exp(-lam * times)[:, None] * spline(np.minimum(tau, tau_grid[-1]))
+    tau = np.minimum(tau, tau_grid[-1])
+    p = min(4, tau_grid.size)
+    first = np.clip(np.searchsorted(tau_grid, tau, "right") - p // 2, 0, tau_grid.size - p)
+    nodes = first[:, None] + np.arange(p)
+    at = tau_grid[nodes]
+    # Lagrange weights on the non-uniform snapshot times: prod_{k != j} (tau - t_k) / (t_j - t_k)
+    eye = np.eye(p, dtype=bool)
+    num = np.where(eye, 1.0, tau[:, None, None] - at[:, None, :])
+    den = np.where(eye, 1.0, at[:, :, None] - at[:, None, :])
+    v = np.einsum("tm,tmn->tn", (num / den).prod(axis=2), conservative.values_matrix()[nodes])
+    damped = np.exp(-lam * times)[:, None] * v
     snaps = tuple(Field(conservative.grid, row) for row in damped)
     cfg = replace(conservative.config, params=replace(conservative.config.params, lam=lam))
     return Trajectory(cfg, times, snaps, conservative.termination, conservative.guard_time)
-
-
-@lru_cache(maxsize=1)
-def _tau_spline(conservative: Trajectory):
-    """The cubic spline in tau through an undamped run's snapshots, solved once per run.
-
-    DissipativeEquivalence maps one undamped run for every lambda, and the
-    lambdas share its spline.  Runs hash by identity, so the cache holds the
-    last run mapped: that run stays referenced until another run is mapped.
-    """
-    # imported here so that a process that maps no solution never loads scipy
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(conservative.times, conservative.values_matrix(), axis=0)
 
 
 @dataclass(frozen=True)

@@ -401,20 +401,19 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
     result.metadata["errors"] = {f"{d:g}": e for d, e in errors}
     finest = errors[-1][1]
     result.checks.append(Check("exact_solution_reproduced", finest < err_tol, finest, err_tol))
-    if any(e == 0.0 for _, e in errors):
+    if len(errors) < 2 or any(e == 0.0 for _, e in errors):
         result.metadata["observed_order"] = None
-        undefined = "order undefined: an error is exactly 0"
-        result.checks.append(Check("temporal_order", False, None, expected_order, undefined))
+        why = "it needs two time steps" if len(errors) < 2 else "an error is exactly 0"
+        result.checks.append(Check("temporal_order", False, None, expected_order, f"order undefined: {why}"))
         return result
     orders = [
         math.log2(errors[i][1] / errors[i + 1][1])
         / math.log2(errors[i][0] / errors[i + 1][0])
         for i in range(len(errors) - 1)
     ]
-    observed = float(np.mean(orders)) if orders else float("nan")
-    result.metadata["observed_order"] = observed
+    result.metadata["observed_order"] = float(np.mean(orders))
     # Every consecutive pair must show the order, so a mean cannot hide a bad pair.
-    worst = max(orders, key=lambda q: abs(q - expected_order), default=float("nan"))
+    worst = max(orders, key=lambda q: abs(q - expected_order))
     result.checks.append(
         Check("temporal_order", abs(worst - expected_order) <= order_tol, worst, expected_order)
     )
@@ -504,9 +503,9 @@ KINDS: dict[str, Kind] = {
         "identity F = -(u_t + (u + 2 omega) u_x) where F is the spatial\n"
         "derivative of the smoothed quadratic density u^2 + u_x^2/2.  This\n"
         "experiment evaluates the residual of that identity on every snapshot\n"
-        "(with u_t from the semidiscrete right-hand side) and also counts\n"
-        "space-time rectangles on which the solution vanishes; a nontrivial\n"
-        "run must admit none.",
+        "(with u_t from the semidiscrete right-hand side).  It records, unchecked,\n"
+        "the count of space-time rectangles where |u| < 1e-8: a nontrivial run's\n"
+        "far tails on a truncated line fall below that level.",
         _run_probe,
         {"residual_tol": _tolerance(1e-6, "bound on the max identity residual")},
         params=(continuation_regime, "ContinuationProbe requires gamma = -2 omega"),

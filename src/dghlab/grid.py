@@ -18,6 +18,7 @@ decayed below machine precision at the boundary.
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -75,7 +76,11 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.kind, GridKind):
             raise TypeError(f"kind must be a GridKind, got {self.kind!r}")
-        if int(self.n) != self.n or self.n < MIN_NODES:
+        try:  # numpy integers pass; a float such as 32.0 does not
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise TypeError(f"the node count n must be an integer, got {self.n!r}") from None
+        if self.n < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} nodes, got n={self.n}")
         if self.n > MAX_NODES:
             raise ValueError(f"at most {MAX_NODES} nodes are supported, got n={self.n}")

@@ -1,6 +1,4 @@
 import math
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,35 +153,30 @@ def test_direct_damped_run_matches_transformed_conservative():
     assert rep.worst < 1e-5
 
 
-def _equivalence_run_counting_splines(monkeypatch) -> tuple[int, dict]:
-    """execute() of the shipped config, with CubicSpline constructions counted."""
-    import scipy.interpolate
+@pytest.mark.parametrize(
+    "tau_nodes, degree",
+    [
+        # non-uniform, with a last panel far shorter than the others
+        ([0.0, 0.1, 0.25, 0.33, 0.5, 0.62, 0.8, 0.802], 3),
+        ([0.0, 0.3], 1),
+        ([0.0, 0.2, 0.45], 2),
+    ],
+)
+def test_map_reproduces_polynomials_in_tau(tau_nodes, degree):
+    g = d.make_grid(GK.PERIODIC, 64)
+    x = g.nodes
+    coeffs = [np.cos(2 * np.pi * x), 1.0 + x, np.sin(2 * np.pi * x), 0.5 - x**2][: degree + 1]
 
-    from dghlab.experiments import execute
-    from dghlab.scenario import load_scenario
+    def v(tau):
+        return sum(c * tau**k for k, c in enumerate(coeffs))
 
-    built = []
-
-    class CountingSpline(scipy.interpolate.CubicSpline):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", CountingSpline)
-    config = Path(__file__).resolve().parent.parent / "configs" / "dissipative_equivalence.yaml"
-    result = execute(load_scenario(config))
-    return len(built), result.metadata["max_error_by_lambda"]
-
-
-def test_one_tau_spline_per_undamped_run(monkeypatch):
-    from dghlab import dissipative
-
-    dissipative._tau_spline.cache_clear()
-    once, errors = _equivalence_run_counting_splines(monkeypatch)
-    assert once == 1
-    assert _equivalence_run_counting_splines(monkeypatch)[0] == 1  # a second run, one more
-    # without the cache: one solve per lambda
-    monkeypatch.setattr(dissipative, "_tau_spline", dissipative._tau_spline.__wrapped__)
-    per_lambda, want = _equivalence_run_counting_splines(monkeypatch)
-    assert per_lambda == len(want) > 1
-    assert errors == want  # the shared spline gives the same floats
+    tau_nodes = np.array(tau_nodes)
+    cfg = d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=1e-3, t_end=tau_nodes[-1], snapshot_stride=1)
+    cons = d.Trajectory(cfg, tau_nodes, [d.Field(g, v(t)) for t in tau_nodes], d.Termination.COMPLETED)
+    lam = 0.7
+    tau = np.concatenate([np.linspace(0.0, tau_nodes[-1], 41), tau_nodes[-1] - [5e-4, 1e-3]])
+    times = np.sort(-np.log1p(-lam * tau) / lam)
+    mapped = d.map_solution(cons, lam, times=times)
+    for t, snap in zip(mapped.times, mapped.snapshots):
+        want = math.exp(-lam * t) * v(d.to_conservative_time(t, lam))
+        assert np.max(np.abs(snap.values - want)) <= 1e-13

@@ -37,6 +37,14 @@ def test_make_grid_rejects_bad_input():
         d.make_grid(GK.TRUNCATED_LINE, 64, None)
 
 
+def test_grid_node_count_must_be_an_integer():
+    assert d.make_grid(GK.PERIODIC, np.int64(32)) == d.make_grid(GK.PERIODIC, 32)
+    assert type(d.make_grid(GK.PERIODIC, np.int32(32)).n) is int
+    for n in (32.0, 32.5, "32"):
+        with pytest.raises(TypeError, match="must be an integer"):
+            d.make_grid(GK.PERIODIC, n)
+
+
 def test_field_validation():
     g = d.make_grid(GK.PERIODIC, 16)
     with pytest.raises(d.NonFiniteFieldError):

@@ -695,6 +695,25 @@ def test_manufactured_zero_solution_fails_the_order_exit_one(tmp_path, initial):
     assert meta["results"]["observed_order"] is None
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_manufactured_one_rung_ladder_writes_strict_json(tmp_path):
+    # one time step measures no order; metadata.json must stay RFC 8259 JSON
+    config = Path(__file__).resolve().parents[1] / "configs" / "manufactured_convergence.yaml"
+    doc = yaml.safe_load(config.read_text())
+    doc["options"]["dts"] = [3.2e-3]
+    checks = _failed_checks(tmp_path, doc)
+    assert checks["exact_solution_reproduced"]["passed"]
+    text = (tmp_path / "out" / doc["name"] / "metadata.json").read_text()
+    meta = json.loads(text, parse_constant=_reject_constant)
+    order = checks["temporal_order"]
+    assert not order["passed"] and order["value"] is None
+    assert order["detail"] == "order undefined: it needs two time steps"
+    assert meta["results"]["observed_order"] is None
+
+
 def test_manufactured_scenario_with_damping(tmp_path):
     # the forcing must be built from the damped right-hand side that is stepped
     doc = {
