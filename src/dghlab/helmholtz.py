@@ -28,12 +28,22 @@ through the nodes in the recurrence's own order, so the results are bitwise
 equal to running the recurrence itself.  The panel weights depend only on
 the spacing and are cached; the interior panels are a 4-tap correlation of
 f with them.
+
+``dtbtrs`` is scipy's compiled f2py wrapper, loaded from the extension file
+``scipy/linalg/_flapack`` on the first line sweep without importing the
+``scipy`` or ``scipy.linalg`` packages: the package imports cost about
+230 ms and 330 modules, the one extension about 3 ms.  scipy must be
+installed; nothing else of it is used.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -155,21 +165,41 @@ def _sweep_bands(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
+@lru_cache(maxsize=1)
+def _dtbtrs():
+    """LAPACK ``dtbtrs`` from scipy's ``linalg/_flapack`` extension (see module docs).
+
+    ``find_spec`` locates the installed scipy without running its
+    ``__init__``, and the extension is executed on its own: a line run
+    loads this one module of scipy, a periodic run none.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"the line sweeps need scipy, which is in no directory of sys.path {sys.path}")
+    linalg = Path(spec.submodule_search_locations[0], "linalg")
+    path = next((p for p in (linalg / f"_flapack{ext}" for ext in EXTENSION_SUFFIXES) if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"the line sweeps need scipy's _flapack extension, which is not in {linalg}")
+    flapack_spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    flapack = importlib.util.module_from_spec(flapack_spec)
+    flapack_spec.loader.exec_module(flapack)
+    return flapack.dtbtrs
+
+
 def _line_exponential_parts(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided exponential integrals P and Q at every node (see module docs)."""
-    # imported here so that a process without a line run never loads scipy
-    from scipy.linalg.lapack import dtbtrs
-
+    dtbtrs = _dtbtrs()
+    # A and B are fresh temporaries, so the wrapper may solve in place
     A, B = _panel_integrals(grid, vals)
     upper, lower = _sweep_bands(grid.n, grid.spacing)
     # P[i+1] = exp(-h) * P[i] + A[i], P[0] = 0
     P = np.empty(grid.n)
     P[0] = 0.0
-    P[1:], info_p = dtbtrs(upper, A, uplo="U", trans="T", diag="U")
+    P[1:], info_p = dtbtrs(upper, A, uplo="U", trans="T", diag="U", overwrite_b=1)
     # Q[i] = exp(-h) * Q[i+1] + B[i], Q[n-1] = 0
     Q = np.empty(grid.n)
     Q[-1] = 0.0
-    Q[:-1], info_q = dtbtrs(lower, B, uplo="L", trans="T", diag="U")
+    Q[:-1], info_q = dtbtrs(lower, B, uplo="L", trans="T", diag="U", overwrite_b=1)
     if info_p or info_q:
         raise RuntimeError(f"dtbtrs failed on a unit-diagonal band: info {info_p}, {info_q}")
     return P, Q

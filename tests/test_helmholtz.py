@@ -1,9 +1,18 @@
+import importlib.machinery
+import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lapack
 from scipy.signal import lfilter
 
 import dghlab as d
@@ -327,3 +336,78 @@ def test_line_sweep_bands_are_cached_read_only():
     for band in bands:
         assert band.shape == (2, g.n - 1) and band.flags.f_contiguous
         assert not band.flags.writeable
+
+
+# -- the dtbtrs loader ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_loaded_dtbtrs_is_bitwise_equal_to_scipy_lapack(n):
+    dtbtrs = d.helmholtz._dtbtrs()
+    assert d.helmholtz._dtbtrs() is dtbtrs
+    g = d.make_grid(GK.TRUNCATED_LINE, n, 20.0)
+    rhs = np.random.default_rng(n).normal(size=n - 1)
+    with_nan = rhs.copy()
+    with_nan[n // 3] = np.nan
+    for band, uplo in zip(d.helmholtz._sweep_bands(g.n, g.spacing), "UL"):
+        for b in (rhs, with_nan):
+            got, info = dtbtrs(band, b.copy(), uplo=uplo, trans="T", diag="U", overwrite_b=1)
+            want, want_info = lapack.dtbtrs(band, b, uplo=uplo, trans="T", diag="U")
+            assert info == want_info == 0
+            assert got.tobytes() == want.tobytes()
+
+
+_SWEEP_THEN_IMPORT_SCIPY = textwrap.dedent(
+    """
+    import numpy as np
+
+    import dghlab as d
+    from dghlab import helmholtz
+
+    g = d.make_grid(d.GridKind.TRUNCATED_LINE, 256, 20.0)
+    vals = np.exp(-g.nodes**2)
+    P, Q = helmholtz._line_exponential_parts(g, vals)
+
+    from scipy.linalg import lapack
+
+    A, B = helmholtz._panel_integrals(g, vals)
+    upper, lower = helmholtz._sweep_bands(g.n, g.spacing)
+    p, info_p = lapack.dtbtrs(upper, A, uplo="U", trans="T", diag="U")
+    q, info_q = lapack.dtbtrs(lower, B, uplo="L", trans="T", diag="U")
+    assert info_p == info_q == 0
+    assert p.tobytes() == P[1:].tobytes() and q.tobytes() == Q[:-1].tobytes()
+    """
+)
+
+
+def test_scipy_lapack_imports_after_a_line_sweep():
+    # a fresh interpreter, so that the sweep loads the extension before scipy is imported
+    src = str(Path(d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _SWEEP_THEN_IMPORT_SCIPY], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.fixture
+def uncached_dtbtrs():
+    """``helmholtz._dtbtrs`` with its cache cleared before and after the test."""
+    d.helmholtz._dtbtrs.cache_clear()
+    yield d.helmholtz._dtbtrs
+    d.helmholtz._dtbtrs.cache_clear()
+
+
+def test_dtbtrs_without_scipy_is_an_import_error(monkeypatch, uncached_dtbtrs):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy.*sys\.path"):
+        uncached_dtbtrs()
+
+
+def test_dtbtrs_without_the_flapack_extension_is_an_import_error(monkeypatch, tmp_path, uncached_dtbtrs):
+    linalg = tmp_path / "linalg"
+    linalg.mkdir()
+    (linalg / "_flapack.py").write_text("")  # a file, but no extension module
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match=f"scipy.*{re.escape(str(linalg))}"):
+        uncached_dtbtrs()

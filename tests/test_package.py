@@ -1,7 +1,8 @@
 """The package's public surface: each name declared once, in one module.
 
-It also pins what importing and running the package loads: only helmholtz
-imports scipy, inside the function that calls it, so only line runs load it.
+It also pins what importing and running the package loads: no module imports
+scipy; the line sweeps load scipy's compiled LAPACK wrapper module and no
+other part of scipy, so only line runs load it.
 """
 
 import ast
@@ -43,44 +44,18 @@ def test_every_exported_name_resolves_to_its_module_object():
     assert isinstance(dghlab.__version__, str)
 
 
-def _import_time_imports(node: ast.AST):
-    """Import statements that run when the module is imported.
-
-    That is every one outside a function body and an ``if TYPE_CHECKING:`` block.
-    """
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield child
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        elif not (isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING"):
-            yield from _import_time_imports(child)
-
-
-def _scipy_imports(nodes, path: Path):
-    for node in nodes:
+def _scipy_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
             yield from (f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy")
 
 
-def test_no_module_imports_scipy_at_import_time():
+def test_no_module_imports_scipy():
+    # function bodies included: the line sweeps load dtbtrs from the extension file
     sources = sorted(SRC.glob("*.py"))
     assert len(sources) > 10
-    offenders = []
-    for path in sources:
-        offenders += _scipy_imports(_import_time_imports(ast.parse(path.read_text(), str(path))), path)
-    assert not offenders
-
-
-def test_only_helmholtz_imports_scipy():
-    # function bodies included: the line sweeps' dtbtrs is the one scipy call
-    found = [
-        hit
-        for path in sorted(SRC.glob("*.py"))
-        for hit in _scipy_imports(ast.walk(ast.parse(path.read_text(), str(path))), path)
-    ]
-    assert found and {hit.split(":")[0] for hit in found} == {"helmholtz.py"}, found
+    assert not [hit for path in sources for hit in _scipy_imports(path)]
 
 
 _FOOTPRINT = textwrap.dedent(
@@ -95,8 +70,7 @@ _FOOTPRINT = textwrap.dedent(
     from dghlab.scenario import load_scenario
 
     def scipy_modules():
-        # the loaded scipy subpackages, not each of their hundreds of modules
-        return sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.split(".")[0] == "scipy"})
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
     out = sys.argv[1]
     configs = sorted(Path("configs").glob("*.yaml"))
@@ -111,10 +85,8 @@ _FOOTPRINT = textwrap.dedent(
         assert not scipy_modules(), (p.name, scipy_modules())
     for p in line:
         assert dghlab.cli.main(["run", str(p), "--output-root", out]) == 0
-    # the line sweeps' dtbtrs is the one scipy call
-    assert "scipy.linalg" in sys.modules
-    assert "scipy.signal" not in sys.modules
-    assert "scipy.interpolate" not in sys.modules
+    # the line sweeps load the one extension module, and neither scipy package
+    assert scipy_modules() == ["scipy.linalg._flapack"], scipy_modules()
     """
 )
 
