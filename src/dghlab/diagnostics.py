@@ -16,6 +16,8 @@ events:
 * ``tail_decay_fit`` fits the exponential decay rate of a field's tail;
 * ``vanishing_rectangle`` finds maximal space-time rectangles on which a
   trajectory stays below a tolerance (a truncated line's far tails can).
+  It reads one snapshot at a time and keeps only each snapshot's quiet
+  runs, so its memory is O(runs), not O(n_t n).
 """
 
 from __future__ import annotations
@@ -175,15 +177,14 @@ def vanishing_rectangle(traj: Trajectory, tol: float) -> list[Rectangle]:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    values = traj.values_matrix()
-    masks = np.abs(values) < tol
-    runs_per_time = [_quiet_runs(m) for m in masks]
+    runs_per_time = [_quiet_runs(np.abs(s.values) < tol) for s in traj.snapshots]
     n_t = len(traj.times)
 
     candidates: list[tuple[int, int, int, int]] = []
     for k0 in range(n_t - 1):
         for a, b in runs_per_time[k0]:
-            if k0 > 0 and masks[k0 - 1, a : b + 1].all():
+            # runs are maximal, so [a, b] was quiet at k0 - 1 iff one run there holds it
+            if k0 > 0 and any(c <= a and b <= d for c, d in runs_per_time[k0 - 1]):
                 continue  # grown already from an earlier start
             j0, j1, k = a, b, k0
             while k + 1 < n_t:

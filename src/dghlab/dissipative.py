@@ -75,7 +75,8 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
     eye = np.eye(p, dtype=bool)
     num = np.where(eye, 1.0, tau[:, None, None] - at[:, None, :])
     den = np.where(eye, 1.0, at[:, :, None] - at[:, None, :])
-    v = np.einsum("tm,tmn->tn", (num / den).prod(axis=2), conservative.values_matrix()[nodes])
+    rows = np.stack([conservative.snapshots[k].values for k in nodes.ravel().tolist()])
+    v = np.einsum("tm,tmn->tn", (num / den).prod(axis=2), rows.reshape(*nodes.shape, -1))
     damped = np.exp(-lam * times)[:, None] * v
     snaps = tuple(Field(conservative.grid, row) for row in damped)
     cfg = replace(conservative.config, params=replace(conservative.config.params, lam=lam))
@@ -100,5 +101,7 @@ def equivalence_report(direct: Trajectory, mapped: Trajectory) -> EquivalenceRep
         raise ValueError("trajectories live on different grids")
     if not np.array_equal(direct.times, mapped.times):
         raise ValueError("trajectories have different snapshot times")
-    max_abs = np.max(np.abs(direct.values_matrix() - mapped.values_matrix()), axis=1)
+    max_abs = np.array(
+        [np.max(np.abs(a.values - b.values)) for a, b in zip(direct.snapshots, mapped.snapshots)]
+    )
     return EquivalenceReport(direct.times, max_abs)

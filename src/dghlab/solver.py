@@ -142,10 +142,6 @@ class Trajectory:
     def grid(self) -> Grid:
         return self.config.grid
 
-    def values_matrix(self) -> np.ndarray:
-        """Snapshot values stacked into an array of shape (n_snapshots, n)."""
-        return np.stack([s.values for s in self.snapshots])
-
 
 def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callable]:
     """The one right-hand side as ``(decode, rhs)`` for a (rows, m) state.

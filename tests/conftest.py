@@ -10,6 +10,7 @@ import numpy as np
 
 import dghlab as d
 from dghlab import Field, GridKind
+from dghlab.diagnostics import Rectangle, _quiet_runs
 
 
 def band_limited(grid, kmax: int, amplitude: float, rng) -> d.Field:
@@ -245,3 +246,46 @@ def transport_residual_reference(traj: d.Trajectory, paths, p: d.PhysParams) -> 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # All-NaN rows once every seed left
         return np.nanmax(np.abs(res), axis=1)
+
+
+# -- stacked (n_t, n) masks: the oracle for the snapshot-at-a-time census ------
+
+
+def vanishing_rectangle_stacked(traj: d.Trajectory, tol: float) -> list:
+    """``vanishing_rectangle`` on one stacked array of values, magnitudes and masks."""
+    masks = np.abs(np.stack([s.values for s in traj.snapshots])) < tol
+    runs_per_time = [_quiet_runs(m) for m in masks]
+    n_t = len(traj.times)
+    candidates = []
+    for k0 in range(n_t - 1):
+        for a, b in runs_per_time[k0]:
+            if k0 > 0 and masks[k0 - 1, a : b + 1].all():
+                continue
+            j0, j1, k = a, b, k0
+            while k + 1 < n_t:
+                best = None
+                for c, e in runs_per_time[k + 1]:
+                    lo, hi = max(j0, c), min(j1, e)
+                    if hi > lo and (best is None or hi - lo > best[1] - best[0]):
+                        best = (lo, hi)
+                if best is None:
+                    break
+                j0, j1 = best
+                k += 1
+            if k > k0 and j1 > j0:
+                candidates.append((k0, k, j0, j1))
+    maximal = [
+        c
+        for c in candidates
+        if not any(
+            o != c and o[0] <= c[0] and o[1] >= c[1] and o[2] <= c[2] and o[3] >= c[3]
+            for o in candidates
+        )
+    ]
+    x = traj.grid.nodes
+    return [
+        Rectangle(
+            float(traj.times[k0]), float(traj.times[k1]), float(x[j0]), float(x[j1]), (k0, k1), (j0, j1)
+        )
+        for k0, k1, j0, j1 in maximal
+    ]

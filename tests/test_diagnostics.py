@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -10,7 +11,7 @@ import dghlab as d
 from dghlab import GridKind as GK
 from dghlab.diagnostics import _quiet_runs
 
-from conftest import dx_invert_lambda2_direct, run
+from conftest import dx_invert_lambda2_direct, run, vanishing_rectangle_stacked
 
 
 # -- support detection --------------------------------------------------------
@@ -294,3 +295,53 @@ def test_probe_quiet_on_detected_rectangles():
             F = d.dx_invert_lambda2(d.Field(traj.grid, u.values**2 + 0.5 * ux.values**2))
             sel = slice(r.node_span[0], r.node_span[1] + 1)
             assert np.max(np.abs(F.values[sel])) < 1e-8
+
+
+def _line_trajectory(rows, half_width=5.0) -> d.Trajectory:
+    """A stored run on the truncated line with the given snapshot values, 0.1 apart."""
+    rows = np.asarray(rows, dtype=float)
+    g = d.make_grid(GK.TRUNCATED_LINE, rows.shape[1], half_width)
+    cfg = d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=0.1, t_end=0.1 * max(1, len(rows) - 1))
+    snaps = [d.Field(g, row) for row in rows]
+    return d.Trajectory(cfg, 0.1 * np.arange(len(rows)), snaps, d.Termination.COMPLETED)
+
+
+# |v| < 0.5 is quiet; 0.5 itself is not, so the strict comparison is tested too
+_LEVELS = [0.0, -0.25, 0.5, 1.0, -2.0]
+_Q, _L = 0.0, 1.0
+_N = 16
+_snapshot = st.one_of(
+    st.just([_Q] * _N),
+    st.just([_L] * _N),
+    st.lists(st.sampled_from(_LEVELS), min_size=_N, max_size=_N),
+)
+
+
+@given(st.lists(_snapshot, min_size=1, max_size=6))
+@example([[_Q] * _N])  # one snapshot: no rectangle can span two times
+@example([[_Q] * _N] * 3)  # all quiet, runs touching both ends
+@example([[_L] * _N, [_Q] * _N, [_L] * _N])  # no-quiet snapshots around an all-quiet one
+@example(  # the run started at k = 1 ends inside the one grown from k = 0: nested
+    [[_Q] * 10 + [_L] * 6, [_Q] * 13 + [_L] * 3, [_Q] * 10 + [_L] * 6]
+)
+@example(  # quiet runs at both domain ends, merging and splitting again
+    [[_Q] * 4 + [_L] * 8 + [_Q] * 4, [_Q] * 7 + [_L] * 2 + [_Q] * 7, [_Q] * 3 + [_L] * 10 + [_Q] * 3]
+)
+@settings(max_examples=200, deadline=None)
+def test_vanishing_rectangles_match_stacked_masks(rows):
+    traj = _line_trajectory(rows)
+    assert d.vanishing_rectangle(traj, 0.5) == vanishing_rectangle_stacked(traj, 0.5)
+
+
+def test_vanishing_rectangles_hold_no_trajectory_sized_array():
+    # 301 x 2048 doubles are 4.9 MB; the stacked values, magnitudes and masks peaked at 10.5 MB
+    x = d.make_grid(GK.TRUNCATED_LINE, 2048, 20.0).nodes
+    traj = _line_trajectory([np.exp(-np.abs(x - 0.01 * k)) for k in range(301)], 20.0)
+    tracemalloc.start()
+    try:
+        rects = d.vanishing_rectangle(traj, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rects and rects == vanishing_rectangle_stacked(traj, 1e-6)
+    assert peak < 1_000_000

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,41 @@ def test_equivalence_report_rejects_mismatched_grids(conservative_run):
         d.equivalence_report(conservative_run, other)
     with pytest.raises(ValueError, match="snapshot times"):
         d.equivalence_report(conservative_run, subsample(conservative_run, 2))
+
+
+def _stacked(traj: d.Trajectory) -> np.ndarray:
+    return np.stack([s.values for s in traj.snapshots])
+
+
+def _map_values_stacked(conservative: d.Trajectory, lam: float, times) -> np.ndarray:
+    """``map_solution``'s values gathered from the whole (n_t, n) stack of snapshots."""
+    tau_grid = conservative.times
+    tau = np.minimum(d.to_conservative_time(times, lam), tau_grid[-1])
+    p = min(4, tau_grid.size)
+    first = np.clip(np.searchsorted(tau_grid, tau, "right") - p // 2, 0, tau_grid.size - p)
+    nodes = first[:, None] + np.arange(p)
+    at = tau_grid[nodes]
+    eye = np.eye(p, dtype=bool)
+    num = np.where(eye, 1.0, tau[:, None, None] - at[:, None, :])
+    den = np.where(eye, 1.0, at[:, :, None] - at[:, None, :])
+    v = np.einsum("tm,tmn->tn", (num / den).prod(axis=2), _stacked(conservative)[nodes])
+    return np.exp(-lam * times)[:, None] * v
+
+
+@pytest.mark.parametrize("lam, times", [(0.3, None), (0.8, None), (0.5, np.linspace(0.0, 1.0, 37))])
+def test_map_is_bitwise_its_stacked_form(conservative_run, lam, times):
+    mapped = d.map_solution(conservative_run, lam, times=times)
+    want = _map_values_stacked(conservative_run, lam, mapped.times)
+    assert np.array_equal(_stacked(mapped), want)
+
+
+def test_equivalence_report_is_bitwise_its_stacked_form(conservative_run):
+    # the damped values on the conservative clock differ from it at every time but t = 0
+    other = replace(d.map_solution(conservative_run, 0.8), times=conservative_run.times)
+    rep = d.equivalence_report(conservative_run, other)
+    want = np.max(np.abs(_stacked(conservative_run) - _stacked(other)), axis=1)
+    assert rep.max_abs.dtype == want.dtype and np.array_equal(rep.max_abs, want)
+    assert np.all(rep.max_abs[1:] > 0.0)
 
 
 def test_direct_damped_run_matches_transformed_conservative():

@@ -123,7 +123,9 @@ def test_line_config_snapshots_are_bitwise_equal_to_sliding_window_panels(path, 
     got = simulate(scn.runs["solver.dt"], scn.u0)
     monkeypatch.setattr(helmholtz, "_panel_integrals", panel_integrals_reference)
     want = simulate(scn.runs["solver.dt"], scn.u0)
-    assert np.array_equal(got.values_matrix(), want.values_matrix())
+    assert np.array_equal(
+        np.stack([s.values for s in got.snapshots]), np.stack([s.values for s in want.snapshots])
+    )
 
 
 if __name__ == "__main__":
