@@ -1,18 +1,13 @@
 """Run artifacts: metadata JSON, CSV tables, and minimal SVG line plots.
 
 Numeric tables are written with shortest round-trip float formatting so that
-identical configurations produce bit-identical files.  A table's rows are one
-``%r`` template with its first column (x or t) already written in, cached
-per first column, so the snapshots of one grid or the series of one run share
-it, and filled by one ``%`` over the other columns interleaved row by row.
-The SVG writer is a small deterministic polyline plotter; images are
-presentation-only.
+identical configurations produce bit-identical files.  The SVG writer is a
+small deterministic polyline plotter; images are presentation-only.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +22,10 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
-def _rows_template(first: bytes, k: int) -> str:
-    """Rows "\\n<first>,%r,...,%r" for the float64 bytes of a first column and k more."""
-    slots = ",%r" * k
-    return "".join([f"\n{v!r}{slots}" for v in np.frombuffer(first).tolist()])
-
-
-def _csv(header: str, first, *rest) -> str:
+def _csv(header: str, *columns) -> str:
     """CSV text: the header, then one row per index of the float columns."""
-    first = np.asarray(first, dtype=float)
-    cells = np.stack([np.asarray(col, dtype=float) for col in rest], axis=1).ravel().tolist()
-    return header + _rows_template(first.tobytes(), len(rest)) % tuple(cells) + "\n"
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_metadata(path: Path, payload: dict) -> Path:

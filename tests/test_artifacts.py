@@ -34,36 +34,3 @@ def test_csv_writers_are_byte_identical_to_per_cell_formatting(case, tmp_path):
     assert series.read_bytes() == expected.encode()
     if case == "empty":
         assert series.read_text() == "t,value,drift\n"
-
-
-def _csv_joined(header, *columns):
-    """``",".join(map(repr, ...))`` over zipped columns: the writer before the row template."""
-    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
-
-
-TEMPLATE_VALUES = [-0.0, 5e-324, 1e16, 1e-5, 0.1, float("nan"), float("inf"), -float("inf")]
-
-
-@pytest.mark.parametrize("rows", [0, 1, 3, 4096])
-def test_row_template_is_byte_identical_to_joined_repr(rows):
-    pool = np.concatenate([TEMPLATE_VALUES, np.random.default_rng(rows).normal(size=8)])
-    x, u, m = (np.resize(np.roll(pool, shift), rows) for shift in (0, 5, 11))
-    assert artifacts._csv("x,u,m", x, u, m) == _csv_joined("x,u,m", x, u, m)
-    assert artifacts._csv("t,value,drift", u, m, x) == _csv_joined("t,value,drift", u, m, x)
-
-
-def test_tables_sharing_a_first_column_share_one_cached_template():
-    artifacts._rows_template.cache_clear()
-    t = np.linspace(0.0, 0.3, 301)
-    for seed in range(5):
-        v = np.random.default_rng(seed).normal(size=t.size)
-        dv = relative_drift(v)
-        assert artifacts._csv("t,value,drift", t, v, dv) == _csv_joined("t,value,drift", t, v, dv)
-    info = artifacts._rows_template.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
-    for n in range(16, 66):  # many grids: the cache stays within its bound
-        x = np.linspace(-1.0, 1.0, n)
-        assert artifacts._csv("x,u,m", x, x**2, -x) == _csv_joined("x,u,m", x, x**2, -x)
-    info = artifacts._rows_template.cache_info()
-    assert info.maxsize == 8 and info.currsize == 8
