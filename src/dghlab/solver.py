@@ -42,11 +42,15 @@ distinct stage time: a stage reuses the values of the stage before it when
 their times agree, which covers RK4's repeated half-step time and a step's
 start at the previous step's end ``t + dt`` (the same float its last stage
 used), so 100 steps take 201 evaluations, however many rows share them.
+``manufactured_forcing`` gives the forcing that makes exp(-t) u0 exact as
+a quadratic in exp(-t): it evaluates the right-hand side twice when built,
+and its evaluations make no FFT.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
@@ -58,7 +62,6 @@ from .helmholtz import _dx_invert_line
 
 __all__ = [
     "CflWarning",
-    "ManufacturedSolution",
     "PhysParams",
     "SimConfig",
     "Termination",
@@ -382,29 +385,22 @@ def _simulate_rows(
     ]
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """Closed-form space-time field u(t, x) with its exact time derivative."""
+def manufactured_forcing(u0: Field, p: PhysParams) -> ForcingFn:
+    """Source term making ``exp(-t) u0`` an exact solution of the forced system.
 
-    u: Callable[[float, np.ndarray], np.ndarray]
-    u_t: Callable[[float, np.ndarray], np.ndarray]
-
-    def field(self, grid: Grid, t: float) -> Field:
-        return Field(grid, self.u(t, grid.nodes))
-
-
-def manufactured_forcing(
-    exact: ManufacturedSolution, p: PhysParams, grid: Grid
-) -> ForcingFn:
-    """Source term making ``exact`` an exact solution of the forced system.
-
-    The residual is evaluated with the same right-hand side that the solver
-    steps, damping included, plus the analytic time derivative of the exact
-    field.  The forcing is a function of t alone, evaluated afresh on each
-    call; ``simulate`` calls it once per distinct stage time.
+    The right-hand side R that the solver steps, damping included, is linear
+    plus quadratic in u, so along u = s u0 with s = exp(-t) it is exactly
+    s R1 + s^2 R2, with R1 = (R(u0) - R(-u0)) / 2 and R2 = (R(u0) + R(-u0)) / 2.
+    Both fields are built here from two ``rhs_nonlocal`` calls, and each
+    evaluation of the forcing is f(t) = -s (u0 + R1) - s^2 R2, a function of
+    t alone; ``simulate`` calls it once per distinct stage time.
     """
+    plus, minus = (rhs_nonlocal(v, p).values for v in (u0, -u0))
+    linear = u0.values + 0.5 * (plus - minus)
+    quadratic = 0.5 * (plus + minus)
 
     def forcing(t: float) -> np.ndarray:
-        return exact.u_t(t, grid.nodes) - rhs_nonlocal(exact.field(grid, t), p).values
+        s = math.exp(-t)
+        return -s * linear - (s * s) * quadratic
 
     return forcing

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -289,3 +290,31 @@ def vanishing_rectangle_stacked(traj: d.Trajectory, tol: float) -> list:
         )
         for k0, k1, j0, j1 in maximal
     ]
+
+
+@dataclass(frozen=True)
+class ManufacturedSolution:
+    """Closed-form space-time field u(t, x) with its exact time derivative."""
+
+    u: Callable[[float, np.ndarray], np.ndarray]
+    u_t: Callable[[float, np.ndarray], np.ndarray]
+
+    def field(self, grid, t: float) -> Field:
+        return Field(grid, self.u(t, grid.nodes))
+
+
+def decaying(u0: Field) -> ManufacturedSolution:
+    """exp(-t) u0, the solution that ``manufactured_forcing(u0, p)`` makes exact."""
+    return ManufacturedSolution(
+        u=lambda t, x: math.exp(-t) * u0.values, u_t=lambda t, x: -math.exp(-t) * u0.values
+    )
+
+
+def manufactured_forcing_oracle(exact: ManufacturedSolution, p: d.PhysParams, grid):
+    """The forcing that makes ``exact`` solve the forced system, evaluated afresh
+    at each t: the analytic u_t minus ``rhs_nonlocal`` of the exact field."""
+
+    def forcing(t: float) -> np.ndarray:
+        return exact.u_t(t, grid.nodes) - d.rhs_nonlocal(exact.field(grid, t), p).values
+
+    return forcing

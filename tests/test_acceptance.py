@@ -336,16 +336,13 @@ def test_criterion_10_sign_kernel_positivity():
 def test_criterion_11_manufactured_convergence():
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.0, 0.0)
-    exact = d.ManufacturedSolution(
-        u=lambda t, x: math.exp(-t) * np.sin(2 * np.pi * x),
-        u_t=lambda t, x: -math.exp(-t) * np.sin(2 * np.pi * x),
-    )
-    forcing = d.manufactured_forcing(exact, p, g)
+    u0 = d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    forcing = d.manufactured_forcing(u0, p)  # makes exp(-t) u0 exact
     errs = []
     for dt in (1.6e-3, 8e-4):
         cfg = d.SimConfig(g, p, dt=dt, t_end=1.0, snapshot_stride=int(round(0.2 / dt)))
-        traj = d.simulate(cfg, exact.field(g, 0.0), forcing=forcing)
-        errs.append(np.max(np.abs(traj.snapshots[-1].values - exact.u(1.0, g.nodes))))
+        traj = d.simulate(cfg, u0, forcing=forcing)
+        errs.append(np.max(np.abs(traj.snapshots[-1].values - math.exp(-1.0) * u0.values)))
     order = math.log2(errs[0] / errs[1])
     ok = errs[-1] < 1e-6 and 3.8 <= order <= 4.2
     _criterion(

@@ -34,7 +34,7 @@ def test_all_is_the_union_of_the_module_lists():
     assert len(from_modules) == len(set(from_modules))  # no name in two modules
     assert sorted(dghlab.__all__) == sorted(from_modules + ["__version__"])
     assert len(dghlab.__all__) == len(set(dghlab.__all__))
-    assert len(dghlab.__all__) <= 40
+    assert len(dghlab.__all__) <= 39
 
 
 def test_every_exported_name_resolves_to_its_module_object():

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 import dghlab as d
 from dghlab import GridKind as GK
 from dghlab.experiments import execute
-from dghlab.scenario import parse_scenario
+from dghlab.scenario import load_scenario, parse_scenario
 
-from conftest import band_limited, run, subsample
+from conftest import band_limited, decaying, manufactured_forcing_oracle, run, subsample
 
 
 @pytest.fixture
@@ -434,15 +435,11 @@ def _bitwise_cases():
     p = d.PhysParams(0.0, 0.0)
     yield d.SimConfig(line, p, dt=2e-3, t_end=0.1, snapshot_stride=9), bump, None, None
     g = d.make_grid(GK.PERIODIC, 128)
-    exact = _decaying_sine()
+    u0 = _sine(g)
     p = d.PhysParams(0.1, -0.3, lam=0.2)
-
-    def fresh_forcing(t):
-        # the manufactured source evaluated anew at every call, no memo
-        return exact.u_t(t, g.nodes) - d.rhs_nonlocal(exact.field(g, t), p).values
-
+    oracle = manufactured_forcing_oracle(decaying(u0), p, g)
     cfg = d.SimConfig(g, p, dt=1.2e-3, t_end=0.096, snapshot_stride=11)
-    yield cfg, exact.field(g, 0.0), d.manufactured_forcing(exact, p, g), fresh_forcing
+    yield cfg, u0, d.manufactured_forcing(u0, p), oracle
 
 
 def test_simulate_is_bitwise_equal_to_field_loop():
@@ -553,10 +550,7 @@ def test_a_batch_rejects_rows_it_cannot_share(pgrid):
 @pytest.mark.parametrize("kind", ["periodic", "line"])
 def test_each_row_of_a_forced_batch_is_its_own_forced_run(kind):
     u0, configs = _row_case(kind)
-    exact = d.ManufacturedSolution(
-        u=lambda t, x: math.exp(-t) * u0.values, u_t=lambda t, x: -math.exp(-t) * u0.values
-    )
-    forcing = d.manufactured_forcing(exact, configs[0].params, u0.grid)
+    forcing = d.manufactured_forcing(u0, configs[0].params)
     batch = d.solver._simulate_rows(configs, u0, forcing)
     assert len({len(traj.times) for traj in batch}) > 1  # rows leave the batch at different steps
     for got in batch:
@@ -659,9 +653,8 @@ def test_a_forced_ladder_costs_the_fft_calls_of_one_batch_and_states_every_lengt
     # The benchmark's ManufacturedConvergence request steps its two rungs in
     # one batch: 8 calls for each of its 120 steps (the coarse rung rides in
     # the first 60), the rfft of u0, a decode at the start and one when the
-    # coarse rung leaves, and 4 calls for each of 360 forcing evaluations:
-    # 121 + 241 stage times, less t = 0 and t = 8e-4, where the fine rung
-    # meets a time of the coarse one in the same or the previous stage.
+    # coarse rung leaves, and 4 calls for each of the two rhs_nonlocal calls
+    # that build the forcing; its 360 evaluations make no FFT.
     scn = parse_scenario(
         {
             "name": "manufactured-convergence",
@@ -676,7 +669,7 @@ def test_a_forced_ladder_costs_the_fft_calls_of_one_batch_and_states_every_lengt
     lengths = _fft_lengths(monkeypatch)
     assert execute(scn).all_passed
     assert lengths and all(n == scn.grid.n for n in lengths)
-    assert len(lengths) == 2403
+    assert len(lengths) == 971
 
 
 def test_trajectory_subsample(pgrid):
@@ -715,64 +708,93 @@ def test_trajectories_compare_and_hash_by_identity(pgrid):
 
 def test_manufactured_forcing_trivial_cases(pgrid):
     p = d.PhysParams(0.2, -0.1)
-    zero = d.ManufacturedSolution(
-        u=lambda t, x: np.zeros_like(x), u_t=lambda t, x: np.zeros_like(x)
-    )
-    const = d.ManufacturedSolution(
-        u=lambda t, x: 0.4 * np.ones_like(x), u_t=lambda t, x: np.zeros_like(x)
-    )
-    assert np.max(np.abs(d.manufactured_forcing(zero, p, pgrid)(0.3))) == 0.0
-    assert np.max(np.abs(d.manufactured_forcing(const, p, pgrid)(0.3))) < 1e-13
+    zero = d.Field.zeros(pgrid)
+    const = d.Field(pgrid, np.full(pgrid.n, 0.4))
+    assert np.max(np.abs(d.manufactured_forcing(zero, p)(0.3))) == 0.0
+    # the right-hand side vanishes on constants, so only u_t = -exp(-t) 0.4 is left
+    f = d.manufactured_forcing(const, p)(0.3)
+    assert np.max(np.abs(f + 0.4 * math.exp(-0.3))) < 1e-13
 
 
-def _decaying_sine():
-    return d.ManufacturedSolution(
-        u=lambda t, x: math.exp(-t) * np.sin(2 * np.pi * x),
-        u_t=lambda t, x: -math.exp(-t) * np.sin(2 * np.pi * x),
-    )
+def _sine(g):
+    return d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+
+
+def _forcing_case(kind):
+    """(u0, params) of a periodic and a line grid, every term of the RHS active."""
+    p = d.PhysParams(0.1, -0.3, lam=0.2)
+    if kind == "periodic":
+        g = d.make_grid(GK.PERIODIC, 128)
+        return d.make_profile(g, "cosine", amplitude=1.0, modes=2, mean=0.1), p
+    g = d.make_grid(GK.TRUNCATED_LINE, 512, 20.0)
+    return d.make_profile(g, "bump", space="m", amplitude=1.0, center=0.0, width=1.0), p
+
+
+@pytest.mark.parametrize("kind", ["periodic", "line"])
+def test_manufactured_forcing_matches_the_per_time_oracle(kind):
+    # s R1 + s^2 R2 against R(exp(-t) u0) evaluated afresh at each t
+    u0, p = _forcing_case(kind)
+    forcing = d.manufactured_forcing(u0, p)
+    oracle = manufactured_forcing_oracle(decaying(u0), p, u0.grid)
+    for t in (0.0, 0.05, 0.37, 1.0):
+        want = oracle(t)
+        assert np.max(np.abs(forcing(t) - want)) <= 1e-13 * np.max(np.abs(want))
+    zero = d.manufactured_forcing(d.Field.zeros(u0.grid), p)
+    assert all(np.max(np.abs(zero(t))) == 0.0 for t in (0.0, 0.37))
 
 
 def test_manufactured_forcing_is_evaluated_once_per_distinct_stage_time(monkeypatch):
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.1, -0.3)
-    exact = _decaying_sine()
-    forcing = d.manufactured_forcing(exact, p, g)
-    fresh = d.manufactured_forcing(exact, p, g)
+    u0 = _sine(g)
+    forcing = d.manufactured_forcing(u0, p)
+    fresh = d.manufactured_forcing(u0, p)
     for t in (0.0, 0.2, 0.2, 0.1):
         assert np.array_equal(forcing(t), fresh(t))
 
     rhs_calls = []
     rhs = d.solver.rhs_nonlocal
     monkeypatch.setattr(d.solver, "rhs_nonlocal", lambda u, p: rhs_calls.append(1) or rhs(u, p))
-    forcing = d.manufactured_forcing(exact, p, g)
+    forcing = d.manufactured_forcing(u0, p)
     forcing_calls = []
     counted = lambda t: forcing_calls.append(t) or forcing(t)
     cfg = d.SimConfig(g, p, dt=1.2e-3, t_end=0.12, snapshot_stride=100)
-    d.simulate(cfg, exact.field(g, 0.0), forcing=counted)
+    d.simulate(cfg, u0, forcing=counted)
     assert len(forcing_calls) == len(set(forcing_calls)) == 2 * 100 + 1
-    assert len(rhs_calls) == 2 * 100 + 1
+    assert len(rhs_calls) == 2  # R(u0) and R(-u0), when the forcing is built
+
+
+def test_manufactured_convergence_evaluates_the_rhs_twice(monkeypatch):
+    # one rhs_nonlocal per distinct stage time before the forcing was a quadratic
+    # in exp(-t): 900 calls for this config
+    config = Path(__file__).resolve().parents[1] / "configs" / "manufactured_convergence.yaml"
+    rhs_calls = []
+    rhs = d.solver.rhs_nonlocal
+    monkeypatch.setattr(d.solver, "rhs_nonlocal", lambda u, p: rhs_calls.append(1) or rhs(u, p))
+    assert execute(load_scenario(config)).all_passed
+    assert len(rhs_calls) == 2
 
 
 def test_manufactured_solution_reproduced():
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.0, 0.0)
-    exact = _decaying_sine()
-    forcing = d.manufactured_forcing(exact, p, g)
+    u0 = _sine(g)
+    forcing = d.manufactured_forcing(u0, p)
     cfg = d.SimConfig(g, p, dt=1.6e-3, t_end=1.0, snapshot_stride=125)
-    traj = d.simulate(cfg, exact.field(g, 0.0), forcing=forcing)
-    err = np.max(np.abs(traj.snapshots[-1].values - exact.u(1.0, g.nodes)))
+    traj = d.simulate(cfg, u0, forcing=forcing)
+    err = np.max(np.abs(traj.snapshots[-1].values - math.exp(-1.0) * u0.values))
     assert err < 1e-6
 
 
 def test_manufactured_temporal_order_is_four():
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.0, 0.0)
-    exact = _decaying_sine()
-    forcing = d.manufactured_forcing(exact, p, g)
+    u0 = _sine(g)
+    forcing = d.manufactured_forcing(u0, p)
     errs = []
     for dt in (1.6e-3, 8e-4):
         cfg = d.SimConfig(g, p, dt=dt, t_end=1.0, snapshot_stride=int(round(0.2 / dt)))
-        traj = d.simulate(cfg, exact.field(g, 0.0), forcing=forcing)
-        errs.append(np.max(np.abs(traj.snapshots[-1].values - exact.u(1.0, g.nodes))))
+        traj = d.simulate(cfg, u0, forcing=forcing)
+        errs.append(np.max(np.abs(traj.snapshots[-1].values - math.exp(-1.0) * u0.values)))
     order = math.log2(errs[0] / errs[1])
     assert 3.8 <= order <= 4.2
