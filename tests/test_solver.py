@@ -720,20 +720,16 @@ def _sine(g):
     return d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
 
 
-def _forcing_case(kind):
-    """(u0, params) of a periodic and a line grid, every term of the RHS active."""
+@pytest.mark.parametrize("kind", ["periodic", "line"])
+def test_manufactured_forcing_matches_the_per_time_oracle(kind):
+    # s R1 + s^2 R2 against R(exp(-t) u0) evaluated afresh at each t, every term active
     p = d.PhysParams(0.1, -0.3, lam=0.2)
     if kind == "periodic":
         g = d.make_grid(GK.PERIODIC, 128)
-        return d.make_profile(g, "cosine", amplitude=1.0, modes=2, mean=0.1), p
-    g = d.make_grid(GK.TRUNCATED_LINE, 512, 20.0)
-    return d.make_profile(g, "bump", space="m", amplitude=1.0, center=0.0, width=1.0), p
-
-
-@pytest.mark.parametrize("kind", ["periodic", "line"])
-def test_manufactured_forcing_matches_the_per_time_oracle(kind):
-    # s R1 + s^2 R2 against R(exp(-t) u0) evaluated afresh at each t
-    u0, p = _forcing_case(kind)
+        u0 = d.make_profile(g, "cosine", amplitude=1.0, modes=2, mean=0.1)
+    else:
+        g = d.make_grid(GK.TRUNCATED_LINE, 512, 20.0)
+        u0 = d.make_profile(g, "bump", space="m", amplitude=1.0, center=0.0, width=1.0)
     forcing = d.manufactured_forcing(u0, p)
     oracle = manufactured_forcing_oracle(decaying(u0), p, u0.grid)
     for t in (0.0, 0.05, 0.37, 1.0):
@@ -765,8 +761,8 @@ def test_manufactured_forcing_is_evaluated_once_per_distinct_stage_time(monkeypa
 
 
 def test_manufactured_convergence_evaluates_the_rhs_twice(monkeypatch):
-    # one rhs_nonlocal per distinct stage time before the forcing was a quadratic
-    # in exp(-t): 900 calls for this config
+    # the forcing is built once; one rhs_nonlocal per distinct stage time would
+    # make 900 calls here
     config = Path(__file__).resolve().parents[1] / "configs" / "manufactured_convergence.yaml"
     rhs_calls = []
     rhs = d.solver.rhs_nonlocal
