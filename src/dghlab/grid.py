@@ -86,8 +86,8 @@ class Grid:
             raise ValueError(f"at most {MAX_NODES} nodes are supported, got n={self.n}")
         if self.kind is GridKind.PERIODIC and self.length != 1.0:
             raise ValueError("periodic grids have period 1")
-        if self.length <= 0:
-            raise ValueError(f"domain extent must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"domain extent must be positive and finite, got {self.length}")
 
     @property
     def spacing(self) -> float:
@@ -122,8 +122,8 @@ def make_grid(kind: GridKind, n: int, extent: float | None = None) -> Grid:
     """
     if kind is GridKind.PERIODIC:
         return Grid(kind, n, 1.0)
-    if extent is None or extent <= 0:
-        raise ValueError(f"truncated-line grids need a positive half-width, got {extent}")
+    if extent is None or not 0 < extent < np.inf:
+        raise ValueError(f"truncated-line grids need a positive, finite half-width, got {extent}")
     return Grid(kind, n, 2.0 * float(extent))
 
 

@@ -37,11 +37,7 @@ own ``simulate`` gives.  On the line the kernel runs row by row, and each
 row's state is also checked for boundary decay.
 Snapshots are bitwise equal to stepping Fields with ``step_rk4`` and
 ``rhs_nonlocal`` on the line, and within 1e-13 of max|u| on the circle,
-where the two states round differently.  A forcing is evaluated once per
-distinct stage time: a stage reuses the values of the stage before it when
-their times agree, which covers RK4's repeated half-step time and a step's
-start at the previous step's end ``t + dt`` (the same float its last stage
-used), so 100 steps take 201 evaluations, however many rows share them.
+where the two states round differently.
 ``manufactured_forcing`` gives the forcing that makes exp(-t) u0 exact as
 a quadratic in exp(-t): it evaluates the right-hand side twice when built,
 and its evaluations make no FFT.
@@ -87,6 +83,8 @@ class PhysParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega, self.gamma, self.lam))):
+            raise ValueError(f"model constants must be finite, got {self}")
         if self.lam < 0:
             raise ValueError(f"dissipation rate must be non-negative, got {self.lam}")
 
@@ -101,14 +99,11 @@ class SimConfig:
     blowup_guard: float = 1e3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        for name in ("dt", "t_end", "blowup_guard"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.blowup_guard <= 0:
-            raise ValueError("blowup_guard must be positive")
 
 
 class Termination(enum.Enum):
@@ -256,9 +251,9 @@ def check_run(config: SimConfig, u0: Field) -> int:
     """Check that config can run from u0 and return its number of steps.
 
     ValueError when u0 lives on another grid, when dt exceeds twice the
-    advisory CFL bound, when t_end is not a whole, finite number of dt
-    steps, or when the run exceeds MAX_STEPS steps or would store more than
-    MAX_SNAPSHOT_VALUES snapshot values; CflWarning when dt exceeds the
+    advisory CFL bound, when t_end is not a whole, finite, positive number
+    of dt steps, or when the run exceeds MAX_STEPS steps or would store more
+    than MAX_SNAPSHOT_VALUES snapshot values; CflWarning when dt exceeds the
     bound itself.
     """
     if u0.grid != config.grid:
@@ -271,6 +266,8 @@ def check_run(config: SimConfig, u0: Field) -> int:
     if not np.isfinite(ratio):
         raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is not a finite number of steps")
     n_steps = int(round(ratio))
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end:g} is shorter than one step of dt = {dt:g}")
     if n_steps > MAX_STEPS:
         raise ValueError(f"t_end / dt = {n_steps:.3g} steps exceeds the cap of {MAX_STEPS:.0e}")
     stored = (n_steps // config.snapshot_stride + 2) * config.grid.n
@@ -294,8 +291,7 @@ def check_run(config: SimConfig, u0: Field) -> int:
 def simulate(config: SimConfig, u0: Field, forcing: ForcingFn | None = None) -> Trajectory:
     """Integrate from u0 to t_end, or stop early on a gradient guard / NaN.
 
-    ``forcing(t)`` values, when given, are added to du/dt; forcing must be a
-    function of t alone, as it is called once per distinct stage time.  On a
+    ``forcing(t)`` values, when given, are added to du/dt at each stage.  On a
     truncated line each step's state is checked for boundary decay, with at
     most one BoundaryDecayWarning per run.
     """
@@ -312,8 +308,7 @@ def _simulate_rows(
     step count, snapshot stride and blowup guard, and its Trajectory is
     bitwise the one its own ``simulate`` gives.  A row that ends, goes
     non-finite or trips its guard leaves the batch, and the others go on.
-    A forcing, a function of t alone, is evaluated once per distinct time of
-    a stage and reused by the next stage at the same time; the rows' values
+    A forcing is evaluated for each row at each stage, and the rows' values
     reach the kernel stacked as (rows, n).
     """
     n_steps = [check_run(config, u0) for config in configs]
@@ -326,17 +321,13 @@ def _simulate_rows(
     ends = [Termination.COMPLETED for _ in configs]
     guard_times: list[Optional[float]] = [None for _ in configs]
     warned = [False for _ in configs]
-    forced: dict[float, np.ndarray] = {}  # the last stage's {time: forcing values}
 
     def rhs_t(t, v: np.ndarray) -> np.ndarray:
-        nonlocal forced
         # Stage 1 starts from the state whose rows the step's checks just decoded.
         stage_rows = rows if v is state else decode(v)
         if forcing is None:
             return rhs(v, stage_rows)
-        ts = np.ravel(t).tolist()
-        forced = {s: forced[s] if s in forced else forcing(s) for s in dict.fromkeys(ts)}
-        return rhs(v, stage_rows, np.stack([forced[s] for s in ts]))
+        return rhs(v, stage_rows, np.stack([forcing(s) for s in np.ravel(t).tolist()]))
 
     v0 = np.fft.rfft(u0.values, n=grid.n) if grid.is_periodic else u0.values
     state = np.broadcast_to(v0, (len(live), v0.size))
@@ -352,7 +343,6 @@ def _simulate_rows(
         stay = range(len(live))
         while len(stay) == len(live):
             step += 1
-            # t + dt is the float stage 4 used, so the next stage 1 repeats it exactly
             state = step_rk4(state, t, dt, rhs_t)
             t = t + dt
             rows = decode(state)
@@ -386,14 +376,13 @@ def _simulate_rows(
 
 
 def manufactured_forcing(u0: Field, p: PhysParams) -> ForcingFn:
-    """Source term making ``exp(-t) u0`` an exact solution of the forced system.
+    """Source term that, added to du/dt, makes ``exp(-t) u0`` an exact solution.
 
     The right-hand side R that the solver steps, damping included, is linear
     plus quadratic in u, so along u = s u0 with s = exp(-t) it is exactly
     s R1 + s^2 R2, with R1 = (R(u0) - R(-u0)) / 2 and R2 = (R(u0) + R(-u0)) / 2.
     Both fields are built here from two ``rhs_nonlocal`` calls, and each
-    evaluation of the forcing is f(t) = -s (u0 + R1) - s^2 R2, a function of
-    t alone; ``simulate`` calls it once per distinct stage time.
+    evaluation of the forcing is f(t) = -s (u0 + R1) - s^2 R2.
     """
     plus, minus = (rhs_nonlocal(v, p).values for v in (u0, -u0))
     linear = u0.values + 0.5 * (plus - minus)

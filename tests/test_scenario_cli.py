@@ -302,6 +302,16 @@ def test_run_cfl_rejection_exit_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # rejected before anything is written
 
 
+@pytest.mark.parametrize("stride", [1, 5])
+def test_run_of_zero_steps_exit_two(tmp_path, capsys, stride):
+    doc = _base_doc(name="zero-steps")
+    doc["solver"] = {"dt": 1.0e-3, "t_end": 1.0e-12, "snapshot_stride": stride}
+    cfg = _write(tmp_path, doc)
+    assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 2
+    assert "shorter than one step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_is_deterministic(tmp_path):
     doc = _base_doc(name="det", kind="InvariantAudit")
     doc["initial"] = {"family": "cosine", "amplitude": 0.02, "modes": 1}

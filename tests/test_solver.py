@@ -36,6 +36,32 @@ def test_sim_config_validation(pgrid):
             d.SimConfig(pgrid, p, **args)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, x: d.PhysParams(x, 0.0),
+        lambda g, x: d.PhysParams(0.0, x),
+        lambda g, x: d.PhysParams(0.0, 0.0, lam=x),
+        lambda g, x: d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=x, t_end=1.0),
+        lambda g, x: d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=1e-3, t_end=x),
+        lambda g, x: d.SimConfig(g, d.PhysParams(0.0, 0.0), 1e-3, 1.0, blowup_guard=x),
+        lambda g, x: d.make_grid(GK.TRUNCATED_LINE, 64, x),
+        lambda g, x: d.grid.Grid(GK.TRUNCATED_LINE, 64, x),
+    ],
+    ids=["omega", "gamma", "lam", "dt", "t_end", "blowup_guard", "extent", "length"],
+)
+def test_non_finite_numbers_are_rejected(pgrid, build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(pgrid, bad)
+
+
+def test_simulate_rejects_a_run_of_zero_steps(pgrid):
+    cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), dt=1e-3, t_end=1e-12, snapshot_stride=1)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        d.simulate(cfg, d.Field.zeros(pgrid))
+
+
 # -- right-hand sides ---------------------------------------------------------
 
 
@@ -654,7 +680,7 @@ def test_a_forced_ladder_costs_the_fft_calls_of_one_batch_and_states_every_lengt
     # one batch: 8 calls for each of its 120 steps (the coarse rung rides in
     # the first 60), the rfft of u0, a decode at the start and one when the
     # coarse rung leaves, and 4 calls for each of the two rhs_nonlocal calls
-    # that build the forcing; its 360 evaluations make no FFT.
+    # that build the forcing; its 720 evaluations make no FFT.
     scn = parse_scenario(
         {
             "name": "manufactured-convergence",
@@ -739,7 +765,19 @@ def test_manufactured_forcing_matches_the_per_time_oracle(kind):
     assert all(np.max(np.abs(zero(t))) == 0.0 for t in (0.0, 0.37))
 
 
-def test_manufactured_forcing_is_evaluated_once_per_distinct_stage_time(monkeypatch):
+def _stage_times(dts, n_steps):
+    """RK4's stage times for rows stepped together, t accumulated as the stepper does."""
+    ts, calls = [0.0] * len(dts), []
+    for step in range(max(n_steps)):
+        live = [i for i, n in enumerate(n_steps) if step < n]
+        for c in (0.0, 0.5, 0.5, 1.0):
+            calls += [ts[i] + c * dts[i] for i in live]
+        for i in live:
+            ts[i] = ts[i] + dts[i]
+    return calls
+
+
+def test_manufactured_forcing_is_evaluated_for_each_row_at_each_stage(monkeypatch):
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.1, -0.3)
     u0 = _sine(g)
@@ -756,13 +794,20 @@ def test_manufactured_forcing_is_evaluated_once_per_distinct_stage_time(monkeypa
     counted = lambda t: forcing_calls.append(t) or forcing(t)
     cfg = d.SimConfig(g, p, dt=1.2e-3, t_end=0.12, snapshot_stride=100)
     d.simulate(cfg, u0, forcing=counted)
-    assert len(forcing_calls) == len(set(forcing_calls)) == 2 * 100 + 1
+    assert len(forcing_calls) == 4 * 100
+    assert forcing_calls == _stage_times([1.2e-3], [100])
     assert len(rhs_calls) == 2  # R(u0) and R(-u0), when the forcing is built
+
+    # a two-rung ladder: one call per live row per stage, the coarse rung leaving after 50 steps
+    forcing_calls.clear()
+    ladder = [replace(cfg, dt=dt, t_end=0.06) for dt in (1.2e-3, 6e-4)]
+    d.solver._simulate_rows(ladder, u0, counted)
+    assert len(forcing_calls) == 4 * (50 + 100)
+    assert forcing_calls == _stage_times([1.2e-3, 6e-4], [50, 100])
 
 
 def test_manufactured_convergence_evaluates_the_rhs_twice(monkeypatch):
-    # the forcing is built once; one rhs_nonlocal per distinct stage time would
-    # make 900 calls here
+    # the forcing is built once, from R(u0) and R(-u0)
     config = Path(__file__).resolve().parents[1] / "configs" / "manufactured_convergence.yaml"
     rhs_calls = []
     rhs = d.solver.rhs_nonlocal
