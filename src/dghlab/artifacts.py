@@ -29,9 +29,12 @@ def _csv(header: str, *columns) -> str:
 
 
 def write_metadata(path: Path, payload: dict) -> Path:
+    """payload as strict JSON: a NaN or infinite float raises ValueError, and
+    the file is not touched."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
+    path.write_text(text + "\n")
     return path
 
 

@@ -114,29 +114,27 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
         print(f"cannot create the output directory: {exc}", file=sys.stderr)
         return 2
     meta_path = outdir / "metadata.json"
-    payload = {"config": scn.echo(), "version": __version__, "status": "started"}
+    payload = {"config": scn.echo(), "version": __version__}
     try:
         result = execute(scn)
         written = _write_artifacts(scn, result, outdir)
+        rc = 3 if result.numerical_failure else 0 if result.all_passed else 1
+        done = {
+            "status": {0: "ok", 1: "check_failed", 3: "numerical_failure"}[rc],
+            "checks": [dataclasses.asdict(c) for c in result.checks],
+            "results": result.metadata,
+            "artifacts": sorted(written),
+        }
+        write_metadata(meta_path, {**payload, **done})
     except (NonFiniteFieldError, FloatingPointError, OverflowError) as exc:
-        payload.update(status="numerical_failure", error=str(exc))
-        write_metadata(meta_path, payload)
+        write_metadata(meta_path, {**payload, "status": "numerical_failure", "error": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # a bug: keep the metadata trail and say so
-        payload.update(status="error", error=repr(exc), trace=traceback.format_exc())
-        write_metadata(meta_path, payload)
-        print(payload["trace"], end="", file=sys.stderr)
+    except Exception as exc:  # a bug, or results that are not strict JSON: keep a trail
+        error = {"status": "error", "error": repr(exc), "trace": traceback.format_exc()}
+        write_metadata(meta_path, {**payload, **error})
+        print(error["trace"], end="", file=sys.stderr)
         return 4
-
-    rc = 3 if result.numerical_failure else 0 if result.all_passed else 1
-    payload.update(
-        status={0: "ok", 1: "check_failed", 3: "numerical_failure"}[rc],
-        checks=[dataclasses.asdict(c) for c in result.checks],
-        results=result.metadata,
-        artifacts=sorted(written),
-    )
-    write_metadata(meta_path, payload)
 
     _emit("\n".join([*(c.line() for c in result.checks), f"artifacts: {outdir}"]))
     if rc == 3:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
@@ -102,6 +103,12 @@ class SimConfig:
         for name in ("dt", "t_end", "blowup_guard"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        try:  # numpy integers pass; NaN or 2.5 would silently change which steps are kept
+            object.__setattr__(self, "snapshot_stride", operator.index(self.snapshot_stride))
+        except TypeError:
+            raise TypeError(
+                f"snapshot_stride must be an integer, got {self.snapshot_stride!r}"
+            ) from None
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 

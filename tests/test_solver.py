@@ -56,6 +56,17 @@ def test_non_finite_numbers_are_rejected(pgrid, build, bad):
         build(pgrid, bad)
 
 
+@pytest.mark.parametrize("stride", [math.nan, 2.5, 2.0])
+def test_sim_config_rejects_a_non_integer_stride(pgrid, stride):
+    with pytest.raises(TypeError, match="snapshot_stride must be an integer"):
+        d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), 1e-3, 1e-2, snapshot_stride=stride)
+
+
+def test_sim_config_keeps_an_integer_stride_as_int(pgrid):
+    cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), 1e-3, 1e-2, snapshot_stride=np.int64(5))
+    assert type(cfg.snapshot_stride) is int and cfg.snapshot_stride == 5
+
+
 def test_simulate_rejects_a_run_of_zero_steps(pgrid):
     cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), dt=1e-3, t_end=1e-12, snapshot_stride=1)
     with pytest.raises(ValueError, match="shorter than one step"):
