@@ -23,9 +23,12 @@ __all__ = [
 
 
 def _csv(header: str, *columns) -> str:
-    """CSV text: the header, then one row per index of the float columns."""
+    """CSV text: the header, then one row per index of the float columns.
+
+    ValueError when the columns differ in length.
+    """
     cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    return "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
 def write_metadata(path: Path, payload: dict) -> Path:
@@ -39,7 +42,8 @@ def write_metadata(path: Path, payload: dict) -> Path:
 
 
 def write_series_csv(path: Path, times, values) -> Path:
-    """Time series with columns t, value, drift."""
+    """Time series with columns t, value, drift; ValueError, and no file, when
+    times and values differ in length."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_csv("t,value,drift", times, values, relative_drift(values)))
@@ -47,7 +51,8 @@ def write_series_csv(path: Path, times, values) -> Path:
 
 
 def write_snapshot_csv(path: Path, x, u, m) -> Path:
-    """Field snapshot with columns x, u, m."""
+    """Field snapshot with columns x, u, m; ValueError, and no file, when the
+    columns differ in length."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_csv("x,u,m", x, u, m))
@@ -69,6 +74,15 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return list(np.arange(first, hi + 0.5 * step, step))
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """Space-separated "px,py" pixel pairs at two decimals.
+
+    One format call over the interleaved pairs: the bytes of a per-point
+    f"{px:.2f},{py:.2f}" join, several times faster.
+    """
+    return " ".join(["%.2f,%.2f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
+
+
 def write_svg_lineplot(
     path: Path,
     series: dict[str, tuple],
@@ -76,7 +90,13 @@ def write_svg_lineplot(
     xlabel: str = "",
     ylabel: str = "",
 ) -> Path:
-    """Plot named (x, y) series as SVG polylines with simple axes."""
+    """Plot named (x, y) series as SVG polylines with simple axes.
+
+    ValueError, and no file, when a series' x and y differ in length.
+    """
+    for name, (x, y) in series.items():
+        if len(x) != len(y):
+            raise ValueError(f"series {name!r} has {len(x)} x values and {len(y)} y values")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])
@@ -125,9 +145,7 @@ def write_svg_lineplot(
     )
     for i, (name, (x, y)) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(
-            f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(np.asarray(x), np.asarray(y))
-        )
+        pts = _points(px(np.asarray(x, dtype=float)), py(np.asarray(y, dtype=float)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 16 * i}" text-anchor="end" '

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import traceback
@@ -142,7 +143,9 @@ def run_scenario(config_path: str | Path, output_root: str | None = None) -> int
     return rc
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dghlab",
         description="Scenario-driven experiments for the DGH shallow-water equation.",
@@ -155,8 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     p_desc = sub.add_parser("describe", help="describe one experiment kind")
     p_desc.add_argument("kind", help="experiment kind name")
     sub.add_parser("version", help="print version")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.verb == "run":
         return run_scenario(args.config, args.output_root)
     if args.verb == "list":

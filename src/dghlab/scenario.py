@@ -31,6 +31,10 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
+# libyaml's parser when PyYAML was built with it: the same documents, about 8x faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 _GRID_KEYS = {"kind", "n", "half_width"}
 _PARAM_KEYS = ("omega", "gamma", "lambda")
 _SOLVER_KEYS = {"dt", "t_end", "snapshot_stride", "blowup_guard"}
@@ -222,7 +226,7 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"config {path} is not valid YAML: {exc}") from exc
     return parse_scenario(doc, source=str(path))

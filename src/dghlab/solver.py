@@ -31,10 +31,16 @@ row with its own lam, dt, step count, stride and guard, and ``simulate`` is
 its one-row call.  After each step one decode gives the u and u_x that each
 row's NaN/Inf check, gradient guard, snapshot Field and the next step's
 first stage all use: 8 batched FFT calls per step on the circle for the
-whole batch, with or without forcing.  A row that ends, goes non-finite or
-trips its guard leaves the batch, and its trajectory is bitwise the one its
-own ``simulate`` gives.  On the line the kernel runs row by row, and each
-row's state is also checked for boundary decay.
+whole batch, with or without forcing, and one max|.| reduction over the
+decode for every row's checks.  The circle's kernel allocates its work
+arrays once per batch composition, when ``_kernel`` binds it: the decode
+result lives in one of them and is valid until the next decode, and only
+each stage's du is a new array, as ``step_rk4`` holds k1..k4.
+``step_rk4`` accumulates each stage input and the final combination in
+place, in arrays it made itself.  A row that ends, goes non-finite or trips
+its guard leaves the batch, and its trajectory is bitwise the one its own
+``simulate`` gives.  On the line the kernel runs row by row, and each row's
+state is also checked for boundary decay.
 Snapshots are bitwise equal to stepping Fields with ``step_rk4`` and
 ``rhs_nonlocal`` on the line, and within 1e-13 of max|u| on the circle,
 where the two states round differently.
@@ -155,16 +161,20 @@ def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callabl
     of ``params[0]``, and each has its own lam.  The state v holds one row
     per run: u's ``rfft`` coefficients on the circle, u itself on the line.
     ``decode(v)`` gives the pair (u, u_x), each with a leading row axis;
-    ``rhs(v, rows)`` is du/dt, with ``rows`` optionally followed by an (r, n)
-    forcing f.  On the circle, with K the 2/3 keep-mask, D = ik and
+    ``rhs(v, rows)`` is a fresh du/dt, with ``rows`` optionally followed by an
+    (r, n) forcing f.  On the circle, with K the 2/3 keep-mask, D = ik and
     G = ik / (1 + 4 pi^2 k^2),
 
         dv = (gamma D - (2 omega + gamma) G - lam) v - K ((u u_x)^ + G (u^2 + u_x^2/2)^) + f^,
 
     where lam is a column of the symbol, one ``irfft`` of the (2, r, m)
     ``[1, D] v`` decodes every row, and one ``rfft`` of the (2 or 3, r, n)
-    products and f takes them all.  On the line the 1-D stencil and P/Q
-    kernel is applied row by row.
+    products and f takes them all.  The circle's kernel owns its work
+    arrays, allocated once when it is built: ``decode`` returns its own
+    (2, r, n) buffer, valid until the next ``decode`` of this kernel, and
+    ``rhs`` writes the products, their spectra and the nonlinear term into
+    the others.  On the line the 1-D stencil and P/Q kernel is applied row
+    by row, and every call returns new arrays.
     """
     p = params[0]
     if grid.is_periodic:
@@ -175,17 +185,40 @@ def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callabl
         # One row per run, so that each product meets operands of its own shape:
         # numpy's same-shape loop is about 1 us faster than a broadcast one.
         keep, dx_helmholtz = (a[None].repeat(len(params), 0) for a in (sf.keep, sf.dx_helmholtz))
+        r, m = keep.shape
+        coded = np.empty((2, r, m), dtype=complex)
+        decoded = np.empty((2, r, grid.n))
+        prods = np.empty((3, r, grid.n))  # u u_x, u^2 + u_x^2/2 and the forcing
+        spectra = np.empty((3, r, m), dtype=complex)
+        u2 = np.empty((r, grid.n))
+        nonlinear = np.empty((r, m), dtype=complex)
 
         def decode(v):
-            return np.fft.irfft(decode_rows * v, n=grid.n)
+            """(u, u_x) of v in the kernel's buffer, overwritten by the next decode."""
+            np.multiply(decode_rows, v, out=coded)
+            return np.fft.irfft(coded, n=grid.n, out=decoded)
 
         def rhs(v, rows, *f):
             u, ux = rows
-            # n stated, as perfbench's FFT counter takes len(a), the term count, otherwise
-            prods = np.fft.rfft([u * ux, u**2 + 0.5 * ux**2, *f], n=grid.n)
+            np.multiply(u, ux, out=prods[0])
+            np.square(ux, out=prods[1])
+            prods[1] *= 0.5
+            np.square(u, out=u2)
+            prods[1] += u2
+            terms = len(f) + 2
+            if f:
+                prods[2] = f[0]
+            # Both transforms state n: perfbench's FFT counter takes len(a), the
+            # term count, otherwise.
+            np.fft.rfft(prods[:terms], n=grid.n, out=spectra[:terms])
+            np.multiply(dx_helmholtz, spectra[1], out=nonlinear)
+            np.add(spectra[0], nonlinear, out=nonlinear)
+            np.multiply(keep, nonlinear, out=nonlinear)
             du = symbol * v
-            du -= keep * (prods[0] + dx_helmholtz * prods[1])
-            return (du + prods[2]) if f else du
+            du -= nonlinear
+            if f:
+                du += spectra[2]
+            return du
 
         return decode, rhs
 
@@ -226,15 +259,31 @@ def step_rk4(u: State, t: float | np.ndarray, dt: float | np.ndarray, rhs: Calla
 
     Only ``+`` and ``*`` by dt touch the state, so it may be a Field or the
     plain (rows, m) array that ``simulate`` steps, with dt a scalar or an
-    (r, 1) column of per-row steps (t then a column too).
+    (r, 1) column of per-row steps (t then a column too).  Each stage input
+    and the final combination accumulate in place into arrays made here, and
+    neither u nor any stage value is written to; a Field has no in-place
+    operators, so the same lines rebind it.  The sums are those of
+    ``u + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)``, bit for bit.
     """
     if not (np.all(dt > 0) if isinstance(dt, np.ndarray) else dt > 0):
         raise ValueError("dt must be positive")
     k1 = rhs(t, u)
-    k2 = rhs(t + 0.5 * dt, u + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, u + (0.5 * dt) * k2)
-    k4 = rhs(t + dt, u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = (0.5 * dt) * k1
+    stage += u
+    k2 = rhs(t + 0.5 * dt, stage)
+    stage = (0.5 * dt) * k2
+    stage += u
+    k3 = rhs(t + 0.5 * dt, stage)
+    stage = dt * k3
+    stage += u
+    k4 = rhs(t + dt, stage)
+    total = 2.0 * k2
+    total += k1
+    total += 2.0 * k3
+    total += k4
+    total *= dt / 6.0
+    total += u
+    return total
 
 
 def cfl_bound(grid: Grid, params: PhysParams, u0: Field) -> float:
@@ -353,10 +402,13 @@ def _simulate_rows(
             state = step_rk4(state, t, dt, rhs_t)
             t = t + dt
             rows = decode(state)
+            # max|u| and max|u_x| of every row at once; NaN survives the max,
+            # so "not peak < inf" is the non-finite test.
+            peaks = np.max(np.abs(rows), axis=-1).tolist()
             stay = []
-            for j, (i, u, ux) in enumerate(zip(live, *rows)):
+            for j, (i, u, peak, peak_x) in enumerate(zip(live, rows[0], *peaks)):
                 config = configs[i]
-                if not np.all(np.isfinite(u)):
+                if not peak < math.inf:
                     # NaN/Inf in any stage reaches u: keep the finite prefix.
                     ends[i] = Termination.NON_FINITE
                     continue
@@ -364,7 +416,7 @@ def _simulate_rows(
                     warned[i] = _check_boundary_decay(grid, u, "simulate", stacklevel=4)
                 t_now = step * config.dt
                 record = step % config.snapshot_stride == 0 or step == n_steps[i]
-                if np.max(np.abs(ux)) > config.blowup_guard:
+                if peak_x > config.blowup_guard:
                     ends[i] = Termination.BLOWUP_GUARD
                     guard_times[i] = t_now
                     record = True

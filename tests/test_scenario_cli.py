@@ -11,9 +11,13 @@ import pytest
 import yaml
 
 import dghlab as d
+from dghlab import scenario
 from dghlab.cli import describe, main, run_scenario
 from dghlab.experiments import KINDS, execute
 from dghlab.scenario import ScenarioError, load_scenario, parse_scenario
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
 def _base_doc(**over):
@@ -201,6 +205,37 @@ def test_load_scenario_io_errors(tmp_path):
         load_scenario(bad)
 
 
+LOADERS = [
+    yaml.SafeLoader,
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml"),
+    ),
+]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_every_config_loads_alike_under_both_yaml_loaders(path, monkeypatch):
+    text = path.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    echoes = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        echoes.append(load_scenario(path).echo())
+    assert echoes[0] == echoes[1]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=["SafeLoader", "CSafeLoader"])
+def test_malformed_yaml_exits_two_under_each_loader(loader, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+    bad = tmp_path / "bad.yaml"
+    for text in ("{unclosed: [", "name: a\n  kind: b\n- c", "a: b: c"):
+        bad.write_text(text)
+        assert run_scenario(bad, str(tmp_path / "out")) == 2
+        assert "is not valid YAML" in capsys.readouterr().err
+
+
 # -- CLI verbs ----------------------------------------------------------------
 
 
@@ -326,6 +361,26 @@ def test_run_invalid_config_exit_two(tmp_path, capsys):
     cfg = _write(tmp_path, _base_doc(unknown_top_key=True))
     assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_consecutive_main_calls_carry_no_state(tmp_path, capsys, monkeypatch):
+    bad = _write(tmp_path, _base_doc(unknown_top_key=True), "bad.yaml")
+    good = _write(tmp_path, _base_doc(), "good.yaml")
+    assert main(["run", str(bad), "--output-root", str(tmp_path / "first")]) == 2
+    assert main(["list"]) == 0
+    out = capsys.readouterr()
+    assert "invalid config" in out.err and "Available experiment kinds" in out.out
+    with pytest.raises(SystemExit) as exc:
+        main(["describe"])
+    assert exc.value.code == 2
+    assert main(["describe", "FreeRun"]) == 0
+    # The root given to the first run must not become the default of the next.
+    monkeypatch.setenv("DGHLAB_OUTPUT_ROOT", str(tmp_path / "env"))
+    assert main(["run", str(good)]) == 0
+    assert (tmp_path / "env" / "unit" / "metadata.json").is_file()
+    assert not (tmp_path / "first").exists()
+    assert main(["version"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == d.__version__
 
 
 def test_run_unwritable_output_dir_exit_two(tmp_path, capsys):
@@ -661,9 +716,6 @@ def test_dissipative_equivalence_fails_a_lambda_whose_direct_run_stopped(monkeyp
     assert result.metadata["termination"] == "blowup_guard"
     assert result.metadata["guard_time"] == 0.04
     assert "0.5" not in result.metadata["max_error_by_lambda"]
-
-
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])

@@ -610,6 +610,38 @@ def test_a_batch_warns_boundary_decay_once_per_row():
     assert sum(issubclass(w.category, d.BoundaryDecayWarning) for w in caught) == 2
 
 
+def test_periodic_snapshots_share_no_memory_with_the_kernel_buffers(monkeypatch):
+    u0, configs = _row_case("periodic")
+    forcing = d.manufactured_forcing(u0, configs[0].params)
+    buffers = {}  # every array a kernel of the run holds, by id
+    build = d.solver._kernel
+
+    def recording(grid, params):
+        decode, rhs = build(grid, params)
+        for fn in (decode, rhs):
+            for cell in fn.__closure__:
+                if isinstance(cell.cell_contents, np.ndarray):
+                    buffers[id(cell.cell_contents)] = cell.cell_contents
+        return decode, rhs
+
+    monkeypatch.setattr(d.solver, "_kernel", recording)
+    batch = d.solver._simulate_rows(configs, u0, forcing)
+    assert len(buffers) > 10  # the batch shrank, so several kernels were built
+    values = [snap.values for traj in batch for snap in traj.snapshots[1:]]  # [0] is u0 itself
+    for i, a in enumerate(values):
+        assert not any(np.shares_memory(a, b) for b in values[i + 1 :])
+    for a in [u0.values, *values]:
+        assert not any(np.shares_memory(a, buf) for buf in buffers.values())
+
+    # A kernel built in between (rhs_nonlocal) leaves the earlier run's values as they were.
+    monkeypatch.setattr(d.solver, "_kernel", build)
+    first = d.simulate(configs[0], u0)
+    kept = [snap.values.copy() for snap in first.snapshots]
+    d.rhs_nonlocal(-u0, configs[1].params)
+    d.simulate(configs[1], d.Field(u0.grid, 2.0 * u0.values))
+    assert all(np.array_equal(a, snap.values) for a, snap in zip(kept, first.snapshots))
+
+
 def test_line_dissipative_equivalence_steps_its_rows_as_their_own_runs(monkeypatch):
     doc = {
         "name": "line-equivalence",
