@@ -92,11 +92,14 @@ def write_svg_lineplot(
 ) -> Path:
     """Plot named (x, y) series as SVG polylines with simple axes.
 
-    ValueError, and no file, when a series' x and y differ in length.
+    ValueError, and no file, when a series' x and y differ in length or
+    hold a NaN or an infinity.
     """
     for name, (x, y) in series.items():
         if len(x) != len(y):
             raise ValueError(f"series {name!r} has {len(x)} x values and {len(y)} y values")
+        if not np.isfinite(np.asarray((x, y), dtype=float)).all():
+            raise ValueError(f"series {name!r} holds a NaN or an infinite value")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     xs = np.concatenate([np.asarray(x, dtype=float) for x, _ in series.values()])

@@ -27,7 +27,11 @@ transposed unit-bidiagonal band system (LAPACK ``dtbtrs``), which works
 through the nodes in the recurrence's own order, so the results are bitwise
 equal to running the recurrence itself.  The panel weights depend only on
 the spacing and are cached; the interior panels are a 4-tap correlation of
-f with them.
+f with them.  The sweeps run in storage the caller gives, a (2, n) array
+with rows P and Q: the panel integrals are written into ``P[1:]`` and
+``Q[:-1]``, ``dtbtrs`` solves them there, and ``(Q - P)/2`` is formed in
+the Q row, so a caller that keeps the array (the solver's line kernel)
+allocates nothing for them per call.
 
 ``dtbtrs`` is scipy's compiled f2py wrapper, loaded from the extension file
 ``scipy/linalg/_flapack`` on the first line sweep without importing the
@@ -128,26 +132,24 @@ def _panel_weights(h: float) -> _PanelWeights:
     return weights
 
 
-def _panel_integrals(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _panel_integrals(grid: Grid, vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
     """Exact exponential moments of the piecewise-cubic interpolant of f.
 
-    Returns arrays (A, B) of length n-1 with
+    Writes into the caller's arrays A and B, each of length n-1,
     A[i] = int_{x_i}^{x_{i+1}} exp(y - x_{i+1}) f(y) dy,
     B[i] = int_{x_i}^{x_{i+1}} exp(x_i - y) f(y) dy.
     """
     n = grid.n
     h = grid.spacing
     w = _panel_weights(h)
-    A = np.empty(n - 1)
-    B = np.empty(n - 1)
     # interior panel i = 1 .. n-3 reads nodes i-1 .. i+2: a 4-tap correlation
     A[1 : n - 2] = np.correlate(vals, w.interior_a, "valid")
     B[1 : n - 2] = np.correlate(vals, w.interior_b, "valid")
-    A[0] = h * (vals[:4] @ w.first_a)
-    B[0] = h * (vals[:4] @ w.first_b)
-    A[n - 2] = h * (vals[-4:] @ w.last_a)
-    B[n - 2] = h * (vals[-4:] @ w.last_b)
-    return A, B
+    # ndarray.dot: the ddot of ``@`` on contiguous vectors, for less call overhead
+    A[0] = h * vals[:4].dot(w.first_a)
+    B[0] = h * vals[:4].dot(w.first_b)
+    A[n - 2] = h * vals[-4:].dot(w.last_a)
+    B[n - 2] = h * vals[-4:].dot(w.last_b)
 
 
 @lru_cache(maxsize=32)
@@ -186,23 +188,34 @@ def _dtbtrs():
     return flapack.dtbtrs
 
 
-def _line_exponential_parts(grid: Grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided exponential integrals P and Q at every node (see module docs)."""
+def _line_exponential_parts(grid: Grid, vals: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """One-sided exponential integrals P and Q at every node (see module docs).
+
+    They are written into the rows of the caller's (2, n) array pq, which is
+    returned.  Each sweep's panel integrals land in the part of its row that
+    the sweep solves, ``P[1:]`` or ``Q[:-1]``, and ``dtbtrs`` solves them
+    there.
+    """
     dtbtrs = _dtbtrs()
-    # A and B are fresh temporaries, so the wrapper may solve in place
-    A, B = _panel_integrals(grid, vals)
+    P, Q = pq[0], pq[1]
+    A, B = P[1:], Q[:-1]
+    _panel_integrals(grid, vals, A, B)
     upper, lower = _sweep_bands(grid.n, grid.spacing)
     # P[i+1] = exp(-h) * P[i] + A[i], P[0] = 0
-    P = np.empty(grid.n)
     P[0] = 0.0
-    P[1:], info_p = dtbtrs(upper, A, uplo="U", trans="T", diag="U", overwrite_b=1)
+    p, info_p = dtbtrs(upper, A, uplo="U", trans="T", diag="U", overwrite_b=1)
     # Q[i] = exp(-h) * Q[i+1] + B[i], Q[n-1] = 0
-    Q = np.empty(grid.n)
     Q[-1] = 0.0
-    Q[:-1], info_q = dtbtrs(lower, B, uplo="L", trans="T", diag="U", overwrite_b=1)
+    q, info_q = dtbtrs(lower, B, uplo="L", trans="T", diag="U", overwrite_b=1)
     if info_p or info_q:
         raise RuntimeError(f"dtbtrs failed on a unit-diagonal band: info {info_p}, {info_q}")
-    return P, Q
+    # The wrapper returns the very view it was given when it solved in place,
+    # and a new array when it had to copy b.
+    if p is not A:
+        A[...] = p
+    if q is not B:
+        B[...] = q
+    return pq
 
 
 def invert_lambda2(f: Field) -> Field:
@@ -211,8 +224,10 @@ def invert_lambda2(f: Field) -> Field:
     if f.grid.is_periodic:
         coeffs = np.fft.rfft(f.values) / _spectral_factors(f.grid).helmholtz
         return Field(f.grid, np.fft.irfft(coeffs, n=f.grid.n))
-    P, Q = _line_exponential_parts(f.grid, f.values)
-    return Field(f.grid, 0.5 * (P + Q))
+    P, Q = _line_exponential_parts(f.grid, f.values, np.empty((2, f.grid.n)))
+    P += Q
+    P *= 0.5
+    return Field(f.grid, P)
 
 
 def dx_invert_lambda2(f: Field) -> Field:
@@ -221,10 +236,17 @@ def dx_invert_lambda2(f: Field) -> Field:
     if f.grid.is_periodic:
         coeffs = np.fft.rfft(f.values) * _spectral_factors(f.grid).dx_helmholtz
         return Field(f.grid, np.fft.irfft(coeffs, n=f.grid.n))
-    return Field(f.grid, _dx_invert_line(f.grid, f.values))
+    return Field(f.grid, _dx_invert_line(f.grid, f.values, np.empty((2, f.grid.n))))
 
 
-def _dx_invert_line(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """``dx_invert_lambda2`` on a line's node values, without the boundary check."""
-    P, Q = _line_exponential_parts(grid, vals)
-    return 0.5 * (Q - P)
+def _dx_invert_line(grid: Grid, vals: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """``dx_invert_lambda2`` on a line's node values, without the boundary check.
+
+    P and Q are swept in the caller's (2, n) array pq, and ``(Q - P)/2`` is
+    formed in its Q row, which is returned.
+    """
+    _line_exponential_parts(grid, vals, pq)
+    P, Q = pq[0], pq[1]
+    np.subtract(Q, P, out=Q)
+    Q *= 0.5
+    return Q

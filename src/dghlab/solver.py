@@ -19,9 +19,9 @@ the circle the state is the ``rfft`` coefficients of u and the right-hand
 side is one Fourier-space expression: one ``irfft`` of ``[1, ik] u^``
 decodes u and u_x, and one ``rfft`` takes both products (and a forcing, when
 given) together.  On the line the state is u itself, stepped term by term
-with the P/Q recurrence.  Time integration is the classical four-stage
-Runge-Kutta scheme with a gradient guard that converts wave breaking into a
-measurable event.
+with the P/Q recurrence, row by row.  Time integration is the classical
+four-stage Runge-Kutta scheme with a gradient guard that converts wave
+breaking into a measurable event.
 
 ``simulate`` steps that state as a plain array through the one right-hand
 side, which ``_kernel`` binds once per run and ``rhs_nonlocal`` wraps for
@@ -32,15 +32,16 @@ its one-row call.  After each step one decode gives the u and u_x that each
 row's NaN/Inf check, gradient guard, snapshot Field and the next step's
 first stage all use: 8 batched FFT calls per step on the circle for the
 whole batch, with or without forcing, and one max|.| reduction over the
-decode for every row's checks.  The circle's kernel allocates its work
-arrays once per batch composition, when ``_kernel`` binds it: the decode
-result lives in one of them and is valid until the next decode, and only
-each stage's du is a new array, as ``step_rk4`` holds k1..k4.
+decode for every row's checks.  Both kernels allocate their work arrays
+once per batch composition, when ``_kernel`` binds them, and only each
+stage's du is a new array, as ``step_rk4`` holds k1..k4.  On the circle
+the decode result lives in one of them and is valid until the next decode;
+on the line the source of the nonlocal term and its P/Q sweeps do.
 ``step_rk4`` accumulates each stage input and the final combination in
 place, in arrays it made itself.  A row that ends, goes non-finite or trips
 its guard leaves the batch, and its trajectory is bitwise the one its own
-``simulate`` gives.  On the line the kernel runs row by row, and each row's
-state is also checked for boundary decay.
+``simulate`` gives.  On the line each row's state is also checked for
+boundary decay.
 Snapshots are bitwise equal to stepping Fields with ``step_rk4`` and
 ``rhs_nonlocal`` on the line, and within 1e-13 of max|u| on the circle,
 where the two states round differently.
@@ -174,7 +175,11 @@ def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callabl
     (2, r, n) buffer, valid until the next ``decode`` of this kernel, and
     ``rhs`` writes the products, their spectra and the nonlinear term into
     the others.  On the line the 1-D stencil and P/Q kernel is applied row
-    by row, and every call returns new arrays.
+    by row: ``decode`` returns v itself and new u_x rows, and ``rhs`` forms
+    each row's du in place in the new du array, with the source
+    u^2 + u_x^2/2 + (2 omega + gamma) u, one scratch row and the (2, n) P/Q
+    sweeps of ``helmholtz._dx_invert_line`` in the kernel's own buffers,
+    allocated once when it is built.
     """
     p = params[0]
     if grid.is_periodic:
@@ -222,21 +227,38 @@ def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callabl
 
         return decode, rhs
 
+    c = 2.0 * p.omega + p.gamma
+    source, scratch = np.empty((2, grid.n))  # u^2 + u_x^2/2 + c u, and one scratch row
+    pq = np.empty((2, grid.n))  # the P/Q sweeps of the source
+
     def decode(v):
         return v, [_derivative_line(grid, u, 1) for u in v]
 
     def rhs(v, rows, *f):
-        out = []
-        for u, ux, q in zip(*rows, params):
-            advect = u * ux
-            quad = u**2 + 0.5 * ux**2
-            nonlocal_term = _dx_invert_line(grid, quad + (2.0 * p.omega + p.gamma) * u)
-            du = -advect + p.gamma * ux - nonlocal_term
+        # du = -u u_x + gamma u_x - d/dx Lambda^{-2}(u^2 + u_x^2/2 + c u) - lam u, each
+        # sum and product rounded as in the Field form, so the two agree bitwise
+        du = np.empty(v.shape)
+        for row, u, ux, q in zip(du, *rows, params):
+            # gamma u_x - u u_x: IEEE defines a - b as a + (-b), and + commutes
+            np.multiply(p.gamma, ux, out=row)
+            np.multiply(u, ux, out=scratch)
+            row -= scratch
+            np.square(ux, out=source)
+            np.multiply(source, 0.5, out=source)
+            np.square(u, out=scratch)
+            np.add(scratch, source, out=source)
+            # A finite u^2 + u_x^2/2 is >= +0, so adding 0 u = +-0 keeps every bit
+            # (a non-finite one makes the step non-finite either way).
+            if c:
+                np.multiply(c, u, out=scratch)
+                np.add(source, scratch, out=source)
+            row -= _dx_invert_line(grid, source, pq)
             if q.lam > 0:
-                du = du - q.lam * u
-            out.append(du)
-        du = out[0][None] if len(out) == 1 else np.stack(out)  # one row needs no copy
-        return (du + f[0]) if f else du
+                np.multiply(q.lam, u, out=scratch)
+                row -= scratch
+        if f:
+            du += f[0]
+        return du
 
     return decode, rhs
 

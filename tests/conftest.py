@@ -125,11 +125,12 @@ def dx_invert_lambda2_reference(f: Field) -> Field:
 # -- sliding-window panel integrals: the oracle for the line P/Q recurrence ---
 
 
-def panel_integrals_reference(grid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def panel_integrals_reference(grid, vals: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
     """``helmholtz._panel_integrals`` as a sliding window and two matmuls per call.
 
-    Weights are rebuilt on every call; the arithmetic of each panel is the
-    library's, so the two must agree bitwise.
+    Writes into the caller's A and B, as the library does.  Weights are
+    rebuilt on every call; the arithmetic of each panel is the library's,
+    so the two must agree bitwise.
     """
     from dghlab.helmholtz import (
         _LAGRANGE_FIRST,
@@ -143,8 +144,6 @@ def panel_integrals_reference(grid, vals: np.ndarray) -> tuple[np.ndarray, np.nd
     nu_a, nu_b = _exp_panel_moments(h)
     w_a_int = h * (_LAGRANGE_INTERIOR @ nu_a)
     w_b_int = h * (_LAGRANGE_INTERIOR @ nu_b)
-    A = np.zeros(n - 1)
-    B = np.zeros(n - 1)
     # interior panels i = 1 .. n-3 read nodes i-1 .. i+2
     stencil = np.lib.stride_tricks.sliding_window_view(vals, 4)  # rows j -> nodes j..j+3
     A[1 : n - 2] = stencil[: n - 3] @ w_a_int
@@ -153,7 +152,6 @@ def panel_integrals_reference(grid, vals: np.ndarray) -> tuple[np.ndarray, np.nd
     B[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_b))
     A[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_a))
     B[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_b))
-    return A, B
 
 
 # -- the four-node cubic by Lagrange's product: the oracle for the snapshot sampler --

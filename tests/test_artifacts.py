@@ -115,3 +115,14 @@ def test_svg_rejects_series_of_unequal_length(tmp_path):
     with pytest.raises(ValueError, match="'b' has 3 x values and 2 y values"):
         artifacts.write_svg_lineplot(path, {"a": ([0, 1], [0, 1]), "b": ([0, 1, 2], [0, 1])})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_svg_rejects_a_series_holding_a_non_finite_value(bad, axis, tmp_path):
+    path = tmp_path / "plots" / "p.svg"
+    points = np.array([[0.0, 1.0, 2.0], [1.0, 0.5, 0.25]])
+    points[axis, 1] = bad
+    with pytest.raises(ValueError, match="series 'drift' holds a NaN or an infinite value"):
+        artifacts.write_svg_lineplot(path, {"ok": ([0, 1], [0, 1]), "drift": tuple(points)})
+    assert not path.parent.exists()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,25 @@ def test_line_config_snapshots_are_bitwise_equal_to_sliding_window_panels(path, 
     assert np.array_equal(
         np.stack([s.values for s in got.snapshots]), np.stack([s.values for s in want.snapshots])
     )
+
+
+@pytest.mark.parametrize("path", LINE_CONFIGS, ids=[p.stem for p in LINE_CONFIGS])
+def test_a_perturbed_panel_oracle_changes_a_line_run(path, monkeypatch):
+    # The test above can only tell the oracle from the library if the run calls
+    # the _panel_integrals it patches: a perturbed copy must move the result.
+    scn = load_scenario(path)
+    cfg = replace(scn.runs["solver.dt"], t_end=10 * scn.runs["solver.dt"].dt)
+    want = simulate(cfg, scn.u0).snapshots[-1].values
+    calls = []
+
+    def perturbed(grid, vals, A, B):
+        panel_integrals_reference(grid, vals, A, B)
+        A *= 1.0 + 1e-9
+        calls.append(1)
+
+    monkeypatch.setattr(helmholtz, "_panel_integrals", perturbed)
+    got = simulate(cfg, scn.u0).snapshots[-1].values
+    assert len(calls) == 4 * 10 and not np.array_equal(got, want)
 
 
 if __name__ == "__main__":

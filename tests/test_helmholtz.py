@@ -296,7 +296,8 @@ def test_line_panel_integrals_are_bitwise_equal_to_sliding_window_oracle(n, monk
 
 def _sweeps_by_recurrence(grid, vals):
     """P and Q by the sequential recurrences of the module docs, run by ``lfilter``."""
-    A, B = d.helmholtz._panel_integrals(grid, vals)
+    A, B = np.empty((2, grid.n - 1))
+    d.helmholtz._panel_integrals(grid, vals, A, B)
     decay = math.exp(-grid.spacing)
     P = np.concatenate(([0.0], lfilter([1.0], [1.0, -decay], A)))
     Q = np.concatenate((lfilter([1.0], [1.0, -decay], B[::-1])[::-1], [0.0]))
@@ -309,7 +310,7 @@ def test_line_sweeps_are_bitwise_equal_to_the_recurrence(n):
     rng = np.random.default_rng(n)
     for _ in range(3):
         vals = rng.normal(size=n) * np.exp(-np.abs(g.nodes) * rng.uniform(0.2, 2.0))
-        got = d.helmholtz._line_exponential_parts(g, vals)
+        got = d.helmholtz._line_exponential_parts(g, vals, np.empty((2, n)))
         want = _sweeps_by_recurrence(g, vals)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -322,11 +323,35 @@ def test_line_sweeps_match_the_recurrence_on_zeros_subnormals_and_nan():
     nan = np.exp(-g.nodes**2)
     nan[30] = np.nan
     for vals in (tiny, nan):
-        got = d.helmholtz._line_exponential_parts(g, vals)
+        got = d.helmholtz._line_exponential_parts(g, vals, np.empty((2, g.n)))
         want = _sweeps_by_recurrence(g, vals)
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
-    P, Q = d.helmholtz._line_exponential_parts(g, nan)
+    P, Q = d.helmholtz._line_exponential_parts(g, nan, np.empty((2, g.n)))
     assert np.isnan(P[-1]) and np.isnan(Q[0]) and not np.isnan(P[0]) and not np.isnan(Q[-1])
+
+
+def test_line_sweeps_take_the_array_a_copying_dtbtrs_returns(monkeypatch):
+    # The sweeps solve in the caller's storage when the wrapper works in place;
+    # a dtbtrs that leaves b as it is and returns a new array must give the same
+    # P and Q, and the operators built on them the same values.
+    g = d.make_grid(GK.TRUNCATED_LINE, 256, 20.0)
+    vals = np.random.default_rng(5).normal(size=g.n) * np.exp(-np.abs(g.nodes))
+    f = d.Field(g, vals)
+    pq = np.full((2, g.n), np.nan)
+    assert d.helmholtz._line_exponential_parts(g, vals, pq) is pq
+    want = [pq.tobytes(), d.invert_lambda2(f).values.tobytes(), d.dx_invert_lambda2(f).values.tobytes()]
+    dtbtrs = d.helmholtz._dtbtrs()
+    copied = []
+
+    def copying(band, b, **kw):
+        copied.append(b)
+        return dtbtrs(band, b.copy(), **kw)
+
+    monkeypatch.setattr(d.helmholtz, "_dtbtrs", lambda: copying)
+    pq = np.full((2, g.n), np.nan)
+    assert d.helmholtz._line_exponential_parts(g, vals, pq) is pq
+    got = [pq.tobytes(), d.invert_lambda2(f).values.tobytes(), d.dx_invert_lambda2(f).values.tobytes()]
+    assert len(copied) == 6 and got == want
 
 
 def test_line_sweep_bands_are_cached_read_only():
@@ -366,11 +391,12 @@ _SWEEP_THEN_IMPORT_SCIPY = textwrap.dedent(
 
     g = d.make_grid(d.GridKind.TRUNCATED_LINE, 256, 20.0)
     vals = np.exp(-g.nodes**2)
-    P, Q = helmholtz._line_exponential_parts(g, vals)
+    P, Q = helmholtz._line_exponential_parts(g, vals, np.empty((2, g.n)))
 
     from scipy.linalg import lapack
 
-    A, B = helmholtz._panel_integrals(g, vals)
+    A, B = np.empty((2, g.n - 1))
+    helmholtz._panel_integrals(g, vals, A, B)
     upper, lower = helmholtz._sweep_bands(g.n, g.spacing)
     p, info_p = lapack.dtbtrs(upper, A, uplo="U", trans="T", diag="U")
     q, info_q = lapack.dtbtrs(lower, B, uplo="L", trans="T", diag="U")

@@ -469,8 +469,8 @@ def _bitwise_cases():
         yield d.SimConfig(g, p, dt=1e-3, t_end=0.06, snapshot_stride=7), cosine, None, None
     line = d.make_grid(GK.TRUNCATED_LINE, 512, 20.0)
     bump = d.make_profile(line, "bump", space="m", amplitude=1.0, center=0.0, width=1.0)
-    p = d.PhysParams(0.0, 0.0)
-    yield d.SimConfig(line, p, dt=2e-3, t_end=0.1, snapshot_stride=9), bump, None, None
+    for p in (d.PhysParams(0.0, 0.0), d.PhysParams(0.1, -0.2, lam=0.3)):
+        yield d.SimConfig(line, p, dt=2e-3, t_end=0.1, snapshot_stride=9), bump, None, None
     g = d.make_grid(GK.PERIODIC, 128)
     u0 = _sine(g)
     p = d.PhysParams(0.1, -0.3, lam=0.2)
@@ -480,17 +480,36 @@ def _bitwise_cases():
 
 
 def test_simulate_is_bitwise_equal_to_field_loop():
+    # Bytes, not np.array_equal, which cannot see a -0.0 that the CSV writer prints.
+    lines = 0
     for cfg, u0, forcing, ref_forcing in _bitwise_cases():
         if cfg.grid.is_periodic:  # stepped in Fourier space: see the test below
             continue
-        assert np.array_equal(
-            d.rhs_nonlocal(u0, cfg.params).values, _rhs_reference(u0, cfg.params).values
-        )
+        lines += 1
+        rhs = d.rhs_nonlocal(u0, cfg.params).values
+        assert rhs.tobytes() == _rhs_reference(u0, cfg.params).values.tobytes()
         traj = d.simulate(cfg, u0, forcing=forcing)
         ref = _reference_snapshots(cfg, u0, ref_forcing)
         assert traj.termination is d.Termination.COMPLETED
         assert len(traj.snapshots) == len(ref)
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(traj.snapshots, ref))
+        assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(traj.snapshots, ref))
+    assert lines == 2  # omega = gamma = lam = 0, and all three nonzero
+
+
+@pytest.mark.parametrize("omega, gamma, lam", [(0.0, 0.0, 0.0), (0.1, -0.2, 0.3), (0.1, -0.2, 0.0)])
+def test_line_rhs_keeps_the_sign_of_every_zero(omega, gamma, lam):
+    # Signed zeros in u, u_x and every product: the kernel's in-place sums and
+    # any term it skips must leave the bytes of the Field arithmetic.
+    g = d.make_grid(GK.TRUNCATED_LINE, 64, 8.0)
+    zeros = np.zeros(g.n)
+    zeros[::3] = -0.0
+    zeros[1::5] = -0.0
+    block = zeros.copy()
+    block[20:40] = np.sin(np.linspace(0.0, 3.0, 20))
+    p = d.PhysParams(omega, gamma, lam)
+    for vals in (zeros, -zeros, block, -block):
+        u = d.Field(g, vals)
+        assert d.rhs_nonlocal(u, p).values.tobytes() == _rhs_reference(u, p).values.tobytes()
 
 
 def test_periodic_simulate_matches_field_loop():
@@ -610,14 +629,18 @@ def test_a_batch_warns_boundary_decay_once_per_row():
     assert sum(issubclass(w.category, d.BoundaryDecayWarning) for w in caught) == 2
 
 
-def test_periodic_snapshots_share_no_memory_with_the_kernel_buffers(monkeypatch):
-    u0, configs = _row_case("periodic")
+def _assert_snapshots_share_no_memory_with_the_kernel_buffers(kind, monkeypatch):
+    """A shrinking forced batch of four rows, each with its own lam, keeps no
+    kernel buffer in a snapshot, and later runs leave its snapshots alone."""
+    u0, configs = _row_case(kind)
     forcing = d.manufactured_forcing(u0, configs[0].params)
     buffers = {}  # every array a kernel of the run holds, by id
+    kernels = []
     build = d.solver._kernel
 
     def recording(grid, params):
         decode, rhs = build(grid, params)
+        kernels.append(len(params))
         for fn in (decode, rhs):
             for cell in fn.__closure__:
                 if isinstance(cell.cell_contents, np.ndarray):
@@ -626,7 +649,8 @@ def test_periodic_snapshots_share_no_memory_with_the_kernel_buffers(monkeypatch)
 
     monkeypatch.setattr(d.solver, "_kernel", recording)
     batch = d.solver._simulate_rows(configs, u0, forcing)
-    assert len(buffers) > 10  # the batch shrank, so several kernels were built
+    assert kernels[0] == 4 and len(kernels) > 1  # the batch shrank, so several kernels were built
+    assert len(buffers) >= {"periodic": 10, "line": 3}[kind] * len(kernels)
     values = [snap.values for traj in batch for snap in traj.snapshots[1:]]  # [0] is u0 itself
     for i, a in enumerate(values):
         assert not any(np.shares_memory(a, b) for b in values[i + 1 :])
@@ -640,6 +664,14 @@ def test_periodic_snapshots_share_no_memory_with_the_kernel_buffers(monkeypatch)
     d.rhs_nonlocal(-u0, configs[1].params)
     d.simulate(configs[1], d.Field(u0.grid, 2.0 * u0.values))
     assert all(np.array_equal(a, snap.values) for a, snap in zip(kept, first.snapshots))
+
+
+def test_periodic_snapshots_share_no_memory_with_the_kernel_buffers(monkeypatch):
+    _assert_snapshots_share_no_memory_with_the_kernel_buffers("periodic", monkeypatch)
+
+
+def test_line_snapshots_share_no_memory_with_the_kernel_buffers(monkeypatch):
+    _assert_snapshots_share_no_memory_with_the_kernel_buffers("line", monkeypatch)
 
 
 def test_line_dissipative_equivalence_steps_its_rows_as_their_own_runs(monkeypatch):
