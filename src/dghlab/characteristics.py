@@ -46,10 +46,6 @@ class CharacteristicPaths:
     qx: np.ndarray
     exit_index: np.ndarray
 
-    @property
-    def exited(self) -> np.ndarray:
-        return self.exit_index < len(self.times)
-
 
 # node offsets of the four taps around the panel [x_i, x_{i+1}], one row per tap
 _TAPS = np.arange(-1, 3)[:, None]
@@ -134,6 +130,8 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
     grid = traj.grid
     x_lo, x_hi = grid.nodes[0], grid.nodes[-1]
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+    if not np.all(np.isfinite(seeds)):
+        raise ValueError("seeds must be finite")
     if not grid.is_periodic:
         if np.any(seeds < x_lo) or np.any(seeds > x_hi):
             raise ValueError("seeds must lie inside the grid")

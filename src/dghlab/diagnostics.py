@@ -49,8 +49,8 @@ class SupportReport:
 
 def support_interval(f: Field, threshold: float) -> SupportReport:
     """Smallest interval containing all nodes with |f| >= threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0:  # NaN fails too; +inf finds no support
+        raise ValueError(f"threshold must be positive, got {threshold}")
     above = np.abs(f.values) >= threshold
     if not np.any(above):
         return SupportReport(None, False)
@@ -175,8 +175,8 @@ def vanishing_rectangle(traj: Trajectory, tol: float) -> list[Rectangle]:
     and keeping the widest overlap; rectangles contained in another are
     dropped.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too; +inf leaves every node quiet
+        raise ValueError(f"tol must be positive, got {tol}")
     runs_per_time = [_quiet_runs(np.abs(s.values) < tol) for s in traj.snapshots]
     n_t = len(traj.times)
 

@@ -32,10 +32,10 @@ def to_conservative_time(t, lam: float):
     ``expm1`` keeps the quotient accurate for every lam > 0, however small.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be non-negative")
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not np.all((0 <= t) & (t < np.inf)):
+        raise ValueError("t must be non-negative and finite")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
     out = t.copy() if lam == 0.0 else -np.expm1(-lam * t) / lam
     return out if out.ndim else float(out)
 
@@ -48,8 +48,8 @@ def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory
     The requested times (default: images of the conservative snapshot times)
     must map into the covered tau range.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
     if lam == 0.0:
         return conservative
     tau_grid = conservative.times

@@ -150,10 +150,6 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n))
 
@@ -270,14 +266,14 @@ def _fornberg_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:
     return w[m]
 
 
-# Stencil half-widths giving 6th-order interior accuracy per derivative order.
-_HALF_WIDTH = {1: 3, 2: 3, 3: 4}
+# Stencil half-width giving 6th-order interior accuracy for orders 1 and 2.
+_HALF_WIDTH = 3
 
 
 @lru_cache(maxsize=32)
 def _line_stencils(spacing: float, order: int):
     """Read-only interior and closure weights for one spacing and order."""
-    s = _HALF_WIDTH[order]
+    s = _HALF_WIDTH
     width = 2 * s + 1
     offs = np.arange(-s, s + 1) * spacing
     interior = _fornberg_weights(offs, 0.0, order)
@@ -300,13 +296,13 @@ def _derivative_line(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
 
 
 def derivative(f: Field, order: int) -> Field:
-    """Spatial derivative of the given order (1, 2 or 3).
+    """First or second spatial derivative (``order`` 1 or 2).
 
     Spectral differentiation on periodic grids (exact for resolved Fourier
     modes); 6th-order centered stencils with one-sided closures on the line.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
     _check_boundary_decay(f.grid, f.values, "derivative")
     diff = _derivative_periodic if f.grid.is_periodic else _derivative_line
     return Field(f.grid, diff(f.grid, f.values, order))

@@ -22,7 +22,7 @@ def cosine_run():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(g, p, dt=5e-4, t_end=0.5, snapshot_stride=10)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     return run(cfg, u0), p
 
 
@@ -41,7 +41,7 @@ def test_constant_state_rigid_transport():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.0, 0.3)
     cfg = d.SimConfig(g, p, dt=1e-3, t_end=1.0, snapshot_stride=20)
-    traj = run(cfg, d.Field.from_function(g, lambda x: 0.5 * np.ones_like(x)))
+    traj = run(cfg, d.Field(g, np.full(g.n, 0.5)))
     paths = d.evolve_characteristics(traj, [0.2])
     exact = 0.2 + (0.5 - 0.3) * traj.times  # unwrapped
     assert np.max(np.abs(paths.q[:, 0] - exact)) < 1e-12
@@ -63,7 +63,7 @@ def test_path_exit_is_flagged_and_truncated():
     cfg = d.SimConfig(g, p, dt=1e-2, t_end=1.0, snapshot_stride=5)
     traj = run(cfg, d.Field.zeros(g))
     paths = d.evolve_characteristics(traj, [4.5, 0.0])
-    assert paths.exited[0] and not paths.exited[1]
+    assert (paths.exit_index < len(paths.times)).tolist() == [True, False]
     k_exit = paths.exit_index[0]
     assert np.all(np.isnan(paths.q[k_exit:, 0]))
     assert np.all(np.isfinite(paths.q[:, 1]))
@@ -101,7 +101,7 @@ def test_transport_residual_zero_and_constant_runs():
     zero = run(cfg, d.Field.zeros(g))
     tr0 = d.transport_residual(zero, d.evolve_characteristics(zero, [0.1, 0.6]), p)
     assert tr0.worst == 0.0
-    const = run(cfg, d.Field.from_function(g, lambda x: 0.3 * np.ones_like(x)))
+    const = run(cfg, d.Field(g, np.full(g.n, 0.3)))
     trc = d.transport_residual(const, d.evolve_characteristics(const, [0.1, 0.6]), p)
     assert trc.worst < 1e-12
 
@@ -156,7 +156,7 @@ def _line_case(t_end):
 def _circle_case(t_end):
     g = d.make_grid(GK.PERIODIC, 128)
     p = d.PhysParams(0.1, -0.2)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     cfg = d.SimConfig(g, p, dt=1e-3, t_end=t_end, snapshot_stride=5)
     # np.mod(-1e-20, 1.0) is exactly 1.0: the sampler must read node 0 there
     return run(cfg, u0), p, [-1e-20, 0.3, 0.7]
@@ -201,7 +201,7 @@ def test_local_cubic_sampler_matches_the_lagrange_oracle(case):
         atol=1e-13,
     )
     if case == "line_21":
-        assert paths.exited[2] and 0 < paths.exit_index[2] < len(traj.times) - 1
+        assert 0 < paths.exit_index[2] < len(paths.times) - 1
     if case.startswith("circle"):
         assert np.mod(seeds[0], 1.0) == 1.0
 
@@ -259,7 +259,7 @@ def test_each_seed_moves_as_if_it_were_alone(case):
     paths = d.evolve_characteristics(traj, seeds)
     if case == "line_21":
         assert 0 < np.min(paths.exit_index) < len(traj.times) - 1
-        assert not np.all(paths.exited)
+        assert not np.all(paths.exit_index < len(paths.times))
     for j in range(seeds.size):
         alone = d.evolve_characteristics(traj, seeds[j : j + 1])
         np.testing.assert_array_equal(paths.q[:, j : j + 1], alone.q)

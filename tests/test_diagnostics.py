@@ -46,7 +46,7 @@ def test_support_of_bump_matches_threshold_crossing():
 
 def test_support_of_sine_spans_domain_and_touches_boundary():
     g = d.make_grid(GK.PERIODIC, 256)
-    f = d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    f = d.Field(g, np.sin(2 * np.pi * g.nodes))
     rep = d.support_interval(f, 1e-10)
     assert rep.boundary_touch
     lo, hi = rep.interval
@@ -130,7 +130,7 @@ def test_probe_sine_closed_form_and_two_paths():
     # u = sin(2 pi x): u^2 + u_x^2/2 = (1/2 + pi^2) + (pi^2 - 1/2) cos(4 pi x),
     # so F = -(pi^2 - 1/2) 4 pi sin(4 pi x) / (1 + 16 pi^2)
     g = d.make_grid(GK.PERIODIC, 512)
-    u = d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    u = d.Field(g, np.sin(2 * np.pi * g.nodes))
     p = d.PhysParams(0.1, -0.2)
     probe = d.continuation_probe(u, d.rhs_nonlocal(u, p), p)
     closed = -(np.pi**2 - 0.5) * 4 * np.pi * np.sin(4 * np.pi * g.nodes) / (1 + 16 * np.pi**2)
@@ -139,7 +139,7 @@ def test_probe_sine_closed_form_and_two_paths():
     # two independent evaluation paths for F (spectral division vs sampled
     # kernel), compared at high resolution where aliasing is negligible
     g2 = d.make_grid(GK.PERIODIC, 65536)
-    u2 = d.Field.from_function(g2, lambda x: np.sin(2 * np.pi * x))
+    u2 = d.Field(g2, np.sin(2 * np.pi * g2.nodes))
     ux2 = d.derivative(u2, 1)
     h2 = d.Field(g2, u2.values**2 + 0.5 * ux2.values**2)
     spectral = d.dx_invert_lambda2(h2)
@@ -151,7 +151,7 @@ def test_probe_residual_small_on_simulated_snapshot():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(g, p, dt=5e-4, t_end=0.2, snapshot_stride=40)
-    traj = run(cfg, d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x)))
+    traj = run(cfg, d.make_profile(g, "cosine", amplitude=0.05))
     for snap in traj.snapshots:
         probe = d.continuation_probe(snap, d.rhs_nonlocal(snap, p), p)
         assert probe.max_residual < 1e-6
@@ -204,7 +204,7 @@ def test_smoothed_density_vanishes_iff_field_does():
     # sides on a scaled family, so one vanishes exactly when the other does
     g = d.make_grid(GK.PERIODIC, 256)
     for eps in (1e-2, 1e-5, 1e-8):
-        u = d.Field.from_function(g, lambda x: eps * np.cos(2 * np.pi * x))
+        u = d.make_profile(g, "cosine", amplitude=eps)
         ux = d.derivative(u, 1)
         f = d.invert_lambda2(d.Field(g, u.values**2 + 0.5 * ux.values**2))
         peak = f.max_abs()
@@ -216,16 +216,16 @@ def test_smoothed_density_vanishes_iff_field_does():
 
 def test_tail_fit_exact_exponentials():
     g = d.make_grid(GK.TRUNCATED_LINE, 2048, 20.0)
-    f1 = d.Field.from_function(g, lambda x: np.exp(-np.abs(x)))
+    f1 = d.Field(g, np.exp(-np.abs(g.nodes)))
     assert d.tail_decay_fit(f1, "right", (5.0, 15.0)) == pytest.approx(-1.0, abs=1e-6)
     assert d.tail_decay_fit(f1, "left", (-15.0, -5.0)) == pytest.approx(1.0, abs=1e-6)
-    f2 = d.Field.from_function(g, lambda x: np.exp(-2 * np.abs(x)))
+    f2 = d.Field(g, np.exp(-2 * np.abs(g.nodes)))
     assert d.tail_decay_fit(f2, "right", (2.0, 8.0)) == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_tail_fit_validation():
     g = d.make_grid(GK.TRUNCATED_LINE, 256, 10.0)
-    f = d.Field.from_function(g, lambda x: np.exp(-np.abs(x)))
+    f = d.Field(g, np.exp(-np.abs(g.nodes)))
     with pytest.raises(ValueError):
         d.tail_decay_fit(f, "up", (2.0, 5.0))
     with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ def test_vanishing_rectangles_empty_for_nontrivial_run():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(g, p, dt=5e-4, t_end=0.3, snapshot_stride=20)
-    traj = run(cfg, d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x)))
+    traj = run(cfg, d.make_profile(g, "cosine", amplitude=0.05))
     assert d.vanishing_rectangle(traj, 1e-8) == []
 
 
@@ -345,3 +345,56 @@ def test_vanishing_rectangles_hold_no_trajectory_sized_array():
         tracemalloc.stop()
     assert rects and rects == vanishing_rectangle_stacked(traj, 1e-6)
     assert peak < 1_000_000
+
+
+# -- non-finite inputs --------------------------------------------------------
+
+
+def _zero_run(kind: GK) -> d.Trajectory:
+    g = d.make_grid(kind, 32, 5.0)
+    cfg = d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=1e-2, t_end=0.05, snapshot_stride=1)
+    return run(cfg, d.Field.zeros(g))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: d.evolve_characteristics(_zero_run(GK.TRUNCATED_LINE), [0.0, _NAN]),
+        lambda: d.evolve_characteristics(_zero_run(GK.PERIODIC), [_NAN]),
+        lambda: d.evolve_characteristics(_zero_run(GK.PERIODIC), [0.5, _INF]),
+        lambda: d.evolve_characteristics(_zero_run(GK.PERIODIC), [-_INF]),
+        lambda: d.support_interval(d.Field.zeros(d.make_grid(GK.PERIODIC, 32)), _NAN),
+        lambda: d.vanishing_rectangle(_zero_run(GK.TRUNCATED_LINE), _NAN),
+        lambda: d.to_conservative_time(_NAN, 0.5),
+        lambda: d.to_conservative_time([0.0, _INF], 0.5),
+        lambda: d.to_conservative_time(1.0, _NAN),
+        lambda: d.map_solution(_zero_run(GK.PERIODIC), _NAN),
+    ],
+    ids=[
+        "line_seed_nan",
+        "circle_seed_nan",
+        "circle_seed_inf",
+        "circle_seed_minus_inf",
+        "support_threshold_nan",
+        "rectangle_tol_nan",
+        "clock_t_nan",
+        "clock_t_inf",
+        "clock_lam_nan",
+        "map_lam_nan",
+    ],
+)
+def test_analyses_reject_a_non_finite_input(call):
+    # a plain ValueError, not the NonFiniteFieldError of a NaN that reached a Field
+    with pytest.raises(ValueError, match="finite|positive") as err:
+        call()
+    assert type(err.value) is ValueError
+
+
+def test_an_infinite_threshold_keeps_its_meaning():
+    traj = _zero_run(GK.TRUNCATED_LINE)
+    assert d.support_interval(traj.snapshots[0], _INF).interval is None
+    (rect,) = d.vanishing_rectangle(traj, _INF)
+    assert rect.node_span == (0, traj.grid.n - 1)

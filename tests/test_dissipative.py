@@ -69,7 +69,7 @@ def test_clock_monotone_concave_bounded(lam, t, dt):
 def conservative_run():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.0, 0.0)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     cfg = d.SimConfig(g, p, dt=1e-3, t_end=1.0, snapshot_stride=5)
     return run(cfg, u0)
 
@@ -173,7 +173,7 @@ def test_equivalence_report_is_bitwise_its_stacked_form(conservative_run):
 
 def test_direct_damped_run_matches_transformed_conservative():
     g = d.make_grid(GK.PERIODIC, 256)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     lam = 0.5
     direct = run(
         d.SimConfig(g, d.PhysParams(0.0, 0.0, lam), dt=1e-3, t_end=1.0, snapshot_stride=10),

@@ -16,7 +16,7 @@ from conftest import band_limited, h2_drifts, run
 def test_energy_trivials():
     g = d.make_grid(GK.PERIODIC, 256)
     assert d.energy_h1(d.Field.zeros(g)) == 0.0
-    u = d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    u = d.Field(g, np.sin(2 * np.pi * g.nodes))
     # int sin^2 = int cos^2 = 1/2 over one period
     assert d.energy_h1(u) == pytest.approx(0.25 + np.pi**2, rel=1e-12)
 
@@ -30,14 +30,14 @@ def test_energy_gaussian_against_quadrature_oracle():
     # both moments equal sqrt(pi/2)/2 + ... : the closed form is sqrt(pi/2)
     assert oracle == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
     g = d.make_grid(GK.TRUNCATED_LINE, 2048, 20.0)
-    u = d.Field.from_function(g, lambda x: np.exp(-(x**2)))
+    u = d.Field(g, np.exp(-(g.nodes**2)))
     assert d.energy_h1(u) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_energy_positivity():
     g = d.make_grid(GK.PERIODIC, 128)
-    tiny = d.Field.from_function(g, lambda x: 1e-13 * np.cos(2 * np.pi * x))
-    small = d.Field.from_function(g, lambda x: 1e-3 * np.cos(2 * np.pi * x))
+    tiny = d.make_profile(g, "cosine", amplitude=1e-13)
+    small = d.make_profile(g, "cosine", amplitude=1e-3)
     assert d.energy_h1(tiny) >= 0.0
     assert d.energy_h1(tiny) < 1e-24
     assert d.energy_h1(small) > 1e-8
@@ -45,10 +45,10 @@ def test_energy_positivity():
 
 def test_mass_values():
     g = d.make_grid(GK.PERIODIC, 128)
-    assert d.mass(d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))) == pytest.approx(0.0, abs=1e-15)
-    assert d.mass(d.Field.from_function(g, lambda x: np.ones_like(x))) == pytest.approx(1.0)
+    assert d.mass(d.Field(g, np.sin(2 * np.pi * g.nodes))) == pytest.approx(0.0, abs=1e-15)
+    assert d.mass(d.Field(g, np.ones(g.n))) == pytest.approx(1.0)
     gl = d.make_grid(GK.TRUNCATED_LINE, 2048, 20.0)
-    gauss = d.Field.from_function(gl, lambda x: np.exp(-(x**2)))
+    gauss = d.Field(gl, np.exp(-(gl.nodes**2)))
     assert d.mass(gauss) == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
@@ -58,7 +58,7 @@ def test_h2_zero_and_sine():
     zero = d.Field.zeros(g)
     for variant in d.H2Variant:
         assert d.hamiltonian_h2(zero, p, variant) == 0.0
-    u = d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    u = d.Field(g, np.sin(2 * np.pi * g.nodes))
     # cubic harmonics integrate to zero over a period; 2 omega int sin^2 = 1
     assert d.hamiltonian_h2(u, p, d.H2Variant.AS_WRITTEN) == pytest.approx(1.0, rel=1e-10)
     assert d.hamiltonian_h2(u, p, d.H2Variant.CUBIC_GRADIENT) == pytest.approx(1.0, rel=1e-10)
@@ -67,7 +67,7 @@ def test_h2_zero_and_sine():
 def _mixed_sign_fields():
     """A shifted cosine on the circle and a bump's u on the line: u_x has both signs."""
     g = d.make_grid(GK.PERIODIC, 256)
-    yield d.Field.from_function(g, lambda x: 0.4 + np.cos(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x))
+    yield d.Field(g, 0.4 + np.cos(2 * np.pi * g.nodes) + 0.3 * np.sin(6 * np.pi * g.nodes))
     gl = d.make_grid(GK.TRUNCATED_LINE, 1024, 20.0)
     yield d.make_profile(gl, "bump", space="m", amplitude=0.8, center=0.2, width=1.0)
 
@@ -153,7 +153,7 @@ def test_conservative_run_preserves_energy_and_mass():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(g, p, dt=5e-4, t_end=0.5, snapshot_stride=20)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     traj = run(cfg, u0)
     assert d.drift_series(traj, d.energy_h1).drift < 1e-6
     assert d.drift_series(traj, d.mass).drift < 1e-8
@@ -163,7 +163,7 @@ def test_dissipative_run_energy_strictly_decreases():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.0, 0.0, lam=0.5)
     cfg = d.SimConfig(g, p, dt=5e-4, t_end=0.5, snapshot_stride=20)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     traj = run(cfg, u0)
     values = d.drift_series(traj, d.energy_h1).values
     assert np.all(np.diff(values) < 1e-10)
@@ -194,7 +194,7 @@ def test_energy_drift_shrinks_with_resolution():
     drifts = []
     for n in (64, 128, 256):
         g = d.make_grid(GK.PERIODIC, n)
-        u0 = d.Field.from_function(g, lambda x: 0.2 * np.exp(-50 * (x - 0.5) ** 2))
+        u0 = d.Field(g, 0.2 * np.exp(-50 * (g.nodes - 0.5) ** 2))
         cfg = d.SimConfig(g, p, dt=2e-4, t_end=0.1, snapshot_stride=50)
         traj = run(cfg, u0)
         drifts.append(d.drift_series(traj, d.energy_h1).drift)

@@ -6,6 +6,7 @@ other part of scipy, so only line runs load it.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -42,6 +43,34 @@ def test_every_exported_name_resolves_to_its_module_object():
         for name in m.__all__:
             assert getattr(dghlab, name) is getattr(m, name), name
     assert isinstance(dghlab.__version__, str)
+
+
+def _names_read(paths):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def test_every_definition_is_used_by_the_library_or_exported():
+    # a function, class, method or property that only tests reach belongs in tests/
+    sources = sorted(SRC.glob("*.py"))
+    used = set(_names_read(sources + sorted((ROOT / "perfbench").glob("*.py"))))
+    for path in sources:
+        if path.stem not in ("__init__", "__main__"):  # __main__ runs the CLI when imported
+            used.update(importlib.import_module(f"dghlab.{path.stem}").__all__)
+    defined = {
+        (path.name, node.name)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    dunder = {name for _, name in defined if name.startswith("__") and name.endswith("__")}
+    unused = {(f, name) for f, name in defined if name not in used | dunder}
+    assert len(defined) > 100
+    assert not sorted(unused)
 
 
 def _scipy_imports(path: Path):

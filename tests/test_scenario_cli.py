@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dghlab as d
 from dghlab import scenario
@@ -804,3 +809,101 @@ def test_manufactured_scenario_with_damping(tmp_path):
     assert run_scenario(cfg, output_root=str(tmp_path / "out")) == 0
     meta = json.loads((tmp_path / "out" / "mms-damped" / "metadata.json").read_text())
     assert all(c["passed"] for c in meta["checks"]) and len(meta["checks"]) == 2
+
+
+# -- a fuzz over the registry -------------------------------------------------
+
+# numbers at the edges every validator has to draw a line at, and non-numbers
+_EDGES = (0.0, -0.0, 5e-324, 1e-300, 0.5, -1.0, 1e300, math.inf, math.nan, "x", True, None)
+# (omega, gamma) pairs; each kind runs on the ones its parameter rule admits
+_PARAMS = ((0.0, 0.0), (0.1, -0.2), (-0.3, 0.6), (0.2, 0.1))
+
+
+def _option_values(opt, dt: float, t_end: float) -> tuple[list, list]:
+    """Values an option accepts, and edge values, from its type and bounds."""
+    if opt.type is bool:
+        return [True, False], [1, "yes", None]
+    if opt.type is list:
+        # entries that divide t_end into a few steps, as a time-step ladder needs
+        accepted = [[dt], sorted({t_end, dt}, reverse=True)]
+        return accepted, [[], [dt, dt], [2 * t_end], [1e-300], [-1.0], "x", 0.5]
+    bounds = [b for b in (opt.low, opt.high) if b is not None]
+    near = [math.nextafter(b, s) for b in bounds for s in (-math.inf, math.inf)]
+    return [opt.default], [*bounds, *near, *_EDGES]
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """A config the kind accepts, from KINDS, with up to two leaves set to edge values."""
+    name = draw(st.sampled_from(sorted(KINDS)))
+    kind = KINDS[name]
+    grid_kind = kind.grid or draw(st.sampled_from(list(d.GridKind)))
+    line = grid_kind is d.GridKind.TRUNCATED_LINE
+    grid = {"kind": grid_kind.value, "n": draw(st.sampled_from([16, 17, 33, 64]))}
+    if line:
+        grid["half_width"] = draw(st.sampled_from([4.0, 8.0]))
+    allowed = [pq for pq in _PARAMS if kind.params is None or kind.params[0](d.PhysParams(*pq))]
+    omega, gamma = draw(st.sampled_from(allowed))
+    lam = draw(st.sampled_from([0.0, 0.1]))
+    family = draw(st.sampled_from(["zero", "gaussian", "bump"] + ([] if line else ["cosine"])))
+    initial = {"family": family}
+    if family != "zero":
+        initial["amplitude"] = draw(st.sampled_from([0.05, 0.5]))
+    if family in ("gaussian", "bump"):
+        initial.update(center=0.0 if line else 0.5, width=1.0 if line else 0.2)
+    initial["space"] = draw(st.sampled_from(["u", "m"]))
+    dt = draw(st.sampled_from([1e-3, 1e-2]))
+    t_end = dt * draw(st.sampled_from([1, 2, 4]))
+    solver = {"dt": dt, "t_end": t_end, "snapshot_stride": draw(st.sampled_from([1, 2]))}
+    values = {k: _option_values(o, dt, t_end) for k, o in kind.options.items()}
+    options = {k: draw(st.sampled_from(ok)) for k, (ok, _) in values.items() if draw(st.booleans())}
+    doc = {
+        "name": "fuzz",
+        "kind": name,
+        "grid": grid,
+        "params": {"omega": omega, "gamma": gamma, "lambda": lam},
+        "initial": initial,
+        "solver": solver,
+        "options": options,
+    }
+    leaves = [
+        ("grid", "kind", ["periodic", "line", "circle", 1]),
+        ("grid", "n", [15, 16, 32.0, True, -16, 2**40, *_EDGES]),
+        ("grid", "half_width", [1e-3, 1.0, *_EDGES]),
+        ("params", "omega", _EDGES),
+        ("params", "gamma", _EDGES),
+        ("params", "lambda", [1e3, *_EDGES]),
+        ("initial", "family", ["cosine", "sawtooth", 1.0]),
+        ("initial", "space", ["v", None]),
+        ("initial", "amplitude", [1e3, *_EDGES]),
+        ("initial", "width", _EDGES),
+        ("initial", "modes", [2, 1.5, *_EDGES]),
+        ("initial", "mean", _EDGES),
+        # no dt or t_end of many valid steps: those only make the run long
+        ("solver", "dt", [0.25, *_EDGES]),
+        ("solver", "t_end", [2.5 * dt, *_EDGES]),
+        ("solver", "snapshot_stride", [0, 1.5, 10**9, *_EDGES]),
+        ("solver", "blowup_guard", [1e-12, 1e308, *_EDGES]),
+        *(("options", k, edges) for k, (_, edges) in values.items()),
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        section, key, edges = draw(st.sampled_from(leaves))
+        doc[section][key] = draw(st.sampled_from(edges))
+    return doc
+
+
+@given(doc=_fuzzed_config())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, doc):
+    # 0 ok, 1 failed check, 2 invalid config, 3 numerical failure; 4 is a bug
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = _write(root, doc)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # CFL and boundary-decay warnings are expected
+            rc = run_scenario(cfg, output_root=str(root / "out"))
+    assert rc in (0, 1, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    for meta in (root / "out").rglob("metadata.json"):
+        json.loads(meta.read_text(), parse_constant=_reject_constant)

@@ -83,7 +83,7 @@ def test_rhs_zero_field(pgrid):
 
 def test_rhs_constant_state_is_steady(pgrid):
     p = d.PhysParams(0.4, 0.9)
-    c = d.Field.from_function(pgrid, lambda x: 0.8 * np.ones_like(x))
+    c = d.Field(pgrid, np.full(pgrid.n, 0.8))
     assert d.rhs_nonlocal(c, p).max_abs() < 1e-13
 
 
@@ -92,11 +92,11 @@ def test_rhs_sine_against_momentum_form_oracle(pgrid):
     # balance m_t = -(2 omega u_x + u m_x + 2 u_x m + gamma u_xxx), then
     # invert the Helmholtz operator spectrally
     p = d.PhysParams(1.0, -2.0)
-    u = d.Field.from_function(pgrid, lambda x: 0.1 * np.sin(2 * np.pi * x))
+    u = d.Field(pgrid, 0.1 * np.sin(2 * np.pi * pgrid.nodes))
     m = d.apply_lambda2(u)
     ux = d.derivative(u, 1)
     mx = d.derivative(m, 1)
-    uxxx = d.derivative(u, 3)
+    uxxx = ux - mx  # m = u - u_xx, so u_xxx = u_x - m_x
     m_t = -(
         2 * p.omega * ux.values
         + u.values * mx.values
@@ -119,7 +119,7 @@ def test_rhs_momentum_form_identity_random_fields(pgrid):
         m = d.apply_lambda2(u)
         ux = d.derivative(u, 1)
         mx = d.derivative(m, 1)
-        uxxx = d.derivative(u, 3)
+        uxxx = ux - mx  # m = u - u_xx, so u_xxx = u_x - m_x
         res = (
             d.apply_lambda2(du).values
             + 2 * omega * ux.values
@@ -167,7 +167,7 @@ def test_rhs_fft_counts(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.1, -0.3, lam=0.5)
-    u = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u = d.make_profile(g, "cosine", amplitude=0.05)
     push = lambda t: np.full(g.n, 1e-3)
     counts = {}
     for what, call in [
@@ -205,7 +205,7 @@ def test_spectral_factors_looked_up_once_per_run(monkeypatch):
     monkeypatch.setattr(d.solver, "_spectral_factors", lambda g: lookups.append(1) or factors(g))
     g = d.make_grid(GK.PERIODIC, 64)
     p = d.PhysParams(0.1, -0.3, lam=0.5)
-    u = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u = d.make_profile(g, "cosine", amplitude=0.05)
     push = lambda t: np.full(g.n, 1e-3)
     counts = {}
     for steps in (1, 10):
@@ -229,7 +229,7 @@ def test_rhs_dissipative_reduces_and_adds_damping(pgrid):
 
 
 def test_rhs_dissipative_sine_additivity(pgrid):
-    u = d.Field.from_function(pgrid, lambda x: 0.1 * np.sin(2 * np.pi * x))
+    u = d.Field(pgrid, 0.1 * np.sin(2 * np.pi * pgrid.nodes))
     p = d.PhysParams(0.0, 0.0, lam=0.5)
     diff = d.rhs_nonlocal(u, p).values - d.rhs_nonlocal(u, replace(p, lam=0.0)).values
     exact = -0.05 * np.sin(2 * np.pi * pgrid.nodes)
@@ -249,7 +249,7 @@ def test_step_rk4_zero_fixed_point(pgrid):
 def test_step_rk4_constant_steady_state(pgrid):
     p = d.PhysParams(0.1, 0.2)
     rhs = lambda t, u: d.rhs_nonlocal(u, p)
-    c = d.Field.from_function(pgrid, lambda x: 0.3 * np.ones_like(x))
+    c = d.Field(pgrid, np.full(pgrid.n, 0.3))
     u = d.step_rk4(c, 0.0, 1e-3, rhs)
     assert np.max(np.abs(u.values - 0.3)) < 1e-15
 
@@ -279,7 +279,7 @@ def test_step_rk4_takes_a_dt_column():
 def test_time_reversibility():
     g = d.make_grid(GK.PERIODIC, 256)
     p = d.PhysParams(0.1, -0.2)
-    u0 = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(g, "cosine", amplitude=0.05)
     fwd = lambda t, u: d.rhs_nonlocal(u, p)
     bwd = lambda t, u: -1.0 * d.rhs_nonlocal(u, p)
     u = u0
@@ -305,14 +305,14 @@ def test_simulate_zero_data(pgrid):
 def test_simulate_constant_fixed_point(pgrid):
     p = d.PhysParams(0.3, 0.1)
     cfg = d.SimConfig(pgrid, p, dt=2e-4, t_end=0.02, snapshot_stride=10)
-    c = d.Field.from_function(pgrid, lambda x: 0.25 * np.ones_like(x))
+    c = d.Field(pgrid, np.full(pgrid.n, 0.25))
     traj = d.simulate(cfg, c)
     assert np.max(np.abs(traj.snapshots[-1].values - 0.25)) < 1e-13
 
 
 def test_simulate_cfl_gate(pgrid):
     p = d.PhysParams(0.1, -0.2)
-    u0 = d.Field.from_function(pgrid, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.05)
     from dghlab.solver import cfl_bound
 
     bound = cfl_bound(pgrid, p, u0)
@@ -344,7 +344,7 @@ def test_simulate_rejects_foreign_grid(pgrid):
 def test_simulate_flags_nonfinite_and_keeps_prefix(pgrid):
     p = d.PhysParams(0.0, 0.0)
     cfg = d.SimConfig(pgrid, p, dt=5e-4, t_end=0.1, snapshot_stride=10)
-    u0 = d.Field.from_function(pgrid, lambda x: 0.01 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.01)
 
     def poison(t):
         out = np.zeros(pgrid.n)
@@ -363,7 +363,7 @@ def test_simulate_flags_nonfinite_at_a_half_step(pgrid):
     p = d.PhysParams(0.0, 0.0)
     dt = 5e-4
     cfg = d.SimConfig(pgrid, p, dt=dt, t_end=0.1, snapshot_stride=10)
-    u0 = d.Field.from_function(pgrid, lambda x: 0.01 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.01)
     poisoned = []
 
     def poison(t):
@@ -412,7 +412,7 @@ def test_simulate_warns_boundary_decay_once_per_run():
 def test_simulate_is_deterministic(pgrid):
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(pgrid, p, dt=5e-4, t_end=0.05, snapshot_stride=10)
-    u0 = d.Field.from_function(pgrid, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.05)
     a = d.simulate(cfg, u0)
     b = d.simulate(cfg, u0)
     assert all(
@@ -463,7 +463,7 @@ def _reference_snapshots(cfg, u0, forcing=None):
 def _bitwise_cases():
     """(config, u0, forcing given to simulate, forcing given to the reference loop)."""
     g = d.make_grid(GK.PERIODIC, 256)
-    cosine = d.Field.from_function(g, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    cosine = d.make_profile(g, "cosine", amplitude=0.05)
     for lam in (0.0, 0.5):
         p = d.PhysParams(0.1, -0.2, lam=lam)
         yield d.SimConfig(g, p, dt=1e-3, t_end=0.06, snapshot_stride=7), cosine, None, None
@@ -554,7 +554,7 @@ def _row_case(kind):
     guard tripping mid-run) on one grid."""
     if kind == "periodic":
         grid = d.make_grid(GK.PERIODIC, 64)
-        u0 = d.Field.from_function(grid, lambda x: 0.5 * np.cos(2 * np.pi * x))
+        u0 = d.make_profile(grid, "cosine", amplitude=0.5)
         p, guard = d.PhysParams(0.1, -0.3), 3.3  # max|u_x| grows from 3.14
     else:
         grid = d.make_grid(GK.TRUNCATED_LINE, 256, 25.0)
@@ -597,7 +597,7 @@ def test_each_row_of_a_batch_is_its_own_run(kind, monkeypatch):
 
 
 def test_a_batch_rejects_rows_it_cannot_share(pgrid):
-    u0 = d.Field.from_function(pgrid, lambda x: 0.05 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.05)
     cfg = d.SimConfig(pgrid, d.PhysParams(0.1, -0.2), dt=5e-4, t_end=5e-3)
     with pytest.raises(ValueError, match="omega and gamma"):
         d.solver._simulate_rows([cfg, replace(cfg, params=d.PhysParams(0.2, -0.2))], u0)
@@ -797,7 +797,7 @@ def test_trajectory_keeps_a_read_only_copy_of_its_times(pgrid):
 
 def test_trajectories_compare_and_hash_by_identity(pgrid):
     cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), dt=5e-4, t_end=0.01, snapshot_stride=5)
-    u0 = d.Field.from_function(pgrid, lambda x: 0.1 * np.cos(2 * np.pi * x))
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.1)
     a, b = d.simulate(cfg, u0), d.simulate(cfg, u0)
     assert a != b and a == a
     assert len({a, b, a}) == 2
@@ -818,7 +818,7 @@ def test_manufactured_forcing_trivial_cases(pgrid):
 
 
 def _sine(g):
-    return d.Field.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    return d.Field(g, np.sin(2 * np.pi * g.nodes))
 
 
 @pytest.mark.parametrize("kind", ["periodic", "line"])
