@@ -35,9 +35,9 @@ class CharacteristicPaths:
 
     ``q[k, s]`` is the position of seed s at snapshot time k; on periodic
     domains positions are unwrapped (they are reduced mod 1 only when sampling
-    fields).  ``exit_index[s]`` is the first time index at which a seed left a
-    truncated-line domain (entries from there on are NaN); it equals
-    ``len(times)`` for seeds that never exited.
+    fields).  ``exit_index[s]`` is the first time index at which seed s lay
+    outside a truncated-line domain, and its q and q_x entries from there on
+    are NaN; it equals ``len(times)`` for seeds that never exited.
     """
 
     seeds: np.ndarray
@@ -124,31 +124,28 @@ def _momentum(f: Field) -> np.ndarray:
 def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
     """Integrate seed particles through the flow of a stored trajectory.
 
-    Whole rows are stepped while every seed is inside the domain; after the
-    first exit from a truncated line, only the seeds still inside are.
+    Every seed is stepped in whole rows at every step.  A seed that leaves a
+    truncated line is clamped to its ends, so that its later samples stay
+    finite, and its entries from the exit on become NaN after the loop; the
+    loop stops once every seed has left.
     """
     grid = traj.grid
-    x_lo, x_hi = grid.nodes[0], grid.nodes[-1]
+    x_lo, x_hi = (-np.inf, np.inf) if grid.is_periodic else (grid.nodes[0], grid.nodes[-1])
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
-    if not grid.is_periodic:
-        if np.any(seeds < x_lo) or np.any(seeds > x_hi):
-            raise ValueError("seeds must lie inside the grid")
+    if np.any(seeds < x_lo) or np.any(seeds > x_hi):
+        raise ValueError("seeds must lie inside the grid")
     gamma = traj.config.params.gamma
     itp = _SnapshotInterpolant(traj, (_values, _slope))
 
     n_t = len(traj.times)
-    n_s = seeds.size
-    q = np.full((n_t, n_s), np.nan)
-    w = np.full((n_t, n_s), np.nan)  # log of the stretch factor
-    exit_index = np.full(n_s, n_t, dtype=int)
+    q = np.full((n_t, seeds.size), np.nan)
+    w = np.full((n_t, seeds.size), np.nan)  # log of the stretch factor
+    exit_index = np.full(seeds.size, n_t, dtype=int)
     q[0] = seeds
     w[0] = 0.0
-
-    inside = np.ones(n_s, dtype=bool)
-    rows = slice(None)  # every seed until the first one leaves, then the mask inside
-    for k in range(n_t - 1 if n_s else 0):
+    for k in range(n_t - 1 if seeds.size else 0):
         dt = traj.times[k + 1] - traj.times[k]
 
         def rate(t: float, qw: np.ndarray) -> np.ndarray:
@@ -157,20 +154,16 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
             du[0] -= gamma
             return du
 
-        q[k + 1, rows], w[k + 1, rows] = step_rk4(
-            np.array((q[k, rows], w[k, rows])), 0.0, dt, rate
-        )
-        if grid.is_periodic:
-            continue
-        newly = (q[k + 1] < x_lo) | (q[k + 1] > x_hi)
-        if np.any(newly):
-            exit_index[newly] = k + 1
-            q[k + 1, newly] = np.nan
-            w[k + 1, newly] = np.nan
-            inside &= ~newly
-            rows = inside
-            if not np.any(inside):
+        q[k + 1], w[k + 1] = step_rk4(np.array((q[k], w[k])), 0.0, dt, rate)
+        out = (q[k + 1] < x_lo) | (q[k + 1] > x_hi)
+        if np.any(out):
+            exit_index[out & (exit_index > k)] = k + 1
+            if exit_index.max() <= k + 1:
                 break
+            np.clip(q[k + 1], x_lo, x_hi, out=q[k + 1])
+    for s in np.flatnonzero(exit_index < n_t):
+        q[exit_index[s] :, s] = np.nan
+        w[exit_index[s] :, s] = np.nan
     return CharacteristicPaths(seeds, traj.times, q, np.exp(w), exit_index)
 
 
@@ -201,17 +194,11 @@ def transport_residual(
     m_itp = _SnapshotInterpolant(traj, (_momentum,))
     (m0_at_seeds,) = m_itp.blend(0, 0.0, paths.seeds)
     m0c = m0_at_seeds + c
-    first_exit = int(np.min(paths.exit_index)) if paths.exit_index.size else 0
 
     max_abs = np.full(len(traj.times), np.nan)
-    for k in range(len(traj.times)):
-        if k < first_exit:
-            rows = slice(None)  # every seed is inside: whole rows, no masks
-        else:
-            rows = paths.exit_index > k
-            if not np.any(rows):
-                break
-        (mq,) = m_itp.blend(k, 0.0, paths.q[k, rows])
-        res = m0c[rows] - (mq + c) * paths.qx[k, rows] ** 2
+    for k in range(paths.exit_index.max(initial=0)):
+        # a departed seed is sampled where it started; fmax skips its NaN q_x
+        (mq,) = m_itp.blend(k, 0.0, np.where(paths.exit_index > k, paths.q[k], paths.seeds))
+        res = m0c - (mq + c) * paths.qx[k] ** 2
         max_abs[k] = np.fmax.reduce(np.abs(res))
     return TransportResidual(traj.times, max_abs)

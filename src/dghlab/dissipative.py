@@ -40,27 +40,17 @@ def to_conservative_time(t, lam: float):
     return out if out.ndim else float(out)
 
 
-def map_solution(conservative: Trajectory, lam: float, times=None) -> Trajectory:
-    """Damped-time snapshots u(t, x) = exp(-lam t) v(tau(t), x).
+def map_solution(conservative: Trajectory, lam: float, times) -> Trajectory:
+    """Damped-time snapshots u(t, x) = exp(-lam t) v(tau(t), x) at the given times.
 
     ``v`` at each tau is the cubic through the four stored snapshots nearest
-    in tau (the line or parabola through all of a run of two or three).
-    The requested times (default: images of the conservative snapshot times)
-    must map into the covered tau range.
+    in tau (the line or parabola through all of a run of two or three).  The
+    times must map into the covered tau range; at lam = 0, tau = t and the
+    run's own times give back its snapshots.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be non-negative and finite, got {lam}")
-    if lam == 0.0:
-        return conservative
-    tau_grid = conservative.times
-    if times is None:
-        # Inverse images of the stored tau values; all lie below 1/lam.
-        if tau_grid[-1] * lam >= 1.0:
-            raise ValueError("conservative horizon reaches 1/lam; cannot invert the clock")
-        times = -np.log1p(-lam * tau_grid) / lam
-        times[0] = 0.0
     times = np.asarray(times, dtype=float)
     tau = to_conservative_time(times, lam)
+    tau_grid = conservative.times
     if np.any(tau > tau_grid[-1] + 1e-12):
         raise ValueError(
             f"requested times reach tau = {np.max(tau):g}, but the conservative "

@@ -553,7 +553,8 @@ KINDS: dict[str, Kind] = {
                 list,
                 lambda solver: [2.0 * solver["dt"], solver["dt"]],
                 low=0.0,
-                help="time-step ladder, default [2 dt, dt] from the solver section",
+                help="time-step ladder; default [2 dt, dt] from the solver section, "
+                "so t_end must be an even number of dt steps",
             ),
             "error_tol": _tolerance(1e-6, "bound on the error at the finest dt"),
             "order": Option(float, 4.0, low=0.0, help="expected temporal order"),

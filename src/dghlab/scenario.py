@@ -212,6 +212,9 @@ def parse_scenario(doc: dict, source: str = "<config>") -> Scenario:
             for where, config in runs.items():
                 check_run(config, u0)
     except (TypeError, ValueError) as exc:
+        key = where.partition("[")[0].removeprefix("options.")
+        if where.startswith("options.") and key not in given:
+            exc = f"{exc} (options.{key} is not set: {spec.options[key].help})"
         raise ScenarioError(f"{where}: {exc}") from None
 
     if spec.params is not None and not spec.params[0](params):

@@ -389,7 +389,9 @@ def _simulate_rows(
     A forcing is evaluated for each row at each stage, and the rows' values
     reach the kernel stacked as (rows, n).
     """
-    n_steps = [check_run(config, u0) for config in configs]
+    n_steps = []
+    for config in configs:  # a comprehension's frame (Python < 3.12) would shift stacklevel
+        n_steps.append(check_run(config, u0))
     grid, p = configs[0].grid, configs[0].params
     if any((c.params.omega, c.params.gamma) != (p.omega, p.gamma) for c in configs):
         raise ValueError("batched runs must share omega and gamma")

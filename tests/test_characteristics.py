@@ -253,8 +253,8 @@ def _with_extra_seeds(case, count=40):
 @pytest.mark.filterwarnings("ignore::dghlab.BoundaryDecayWarning")
 @pytest.mark.parametrize("case", ["line_21", "circle_21"])
 def test_each_seed_moves_as_if_it_were_alone(case):
-    # whole rows before the first exit, masked rows after it: neither may let
-    # one seed's arithmetic depend on the others
+    # every seed is stepped in whole rows, a departed one clamped to the ends
+    # of the line: no seed's arithmetic may depend on the others
     traj, p, seeds = _with_extra_seeds(case)
     paths = d.evolve_characteristics(traj, seeds)
     if case == "line_21":

@@ -371,7 +371,7 @@ _NAN, _INF = float("nan"), float("inf")
         lambda: d.to_conservative_time(_NAN, 0.5),
         lambda: d.to_conservative_time([0.0, _INF], 0.5),
         lambda: d.to_conservative_time(1.0, _NAN),
-        lambda: d.map_solution(_zero_run(GK.PERIODIC), _NAN),
+        lambda: d.map_solution(_zero_run(GK.PERIODIC), _NAN, times=[0.0]),
     ],
     ids=[
         "line_seed_nan",

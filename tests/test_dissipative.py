@@ -74,8 +74,25 @@ def conservative_run():
     return run(cfg, u0)
 
 
+def _stacked(traj: d.Trajectory) -> np.ndarray:
+    return np.stack([s.values for s in traj.snapshots])
+
+
 def test_map_with_zero_damping_is_identity(conservative_run):
-    assert d.map_solution(conservative_run, 0.0) is conservative_run
+    # at lam = 0, tau = t: the run's own times hit its snapshots exactly
+    mapped = d.map_solution(conservative_run, 0.0, times=conservative_run.times)
+    assert np.array_equal(mapped.times, conservative_run.times)
+    assert np.array_equal(_stacked(mapped), _stacked(conservative_run))
+    assert mapped.config == conservative_run.config
+    assert mapped.termination is conservative_run.termination
+
+
+def test_map_is_continuous_at_zero_damping(conservative_run):
+    times = np.array([0.0, 0.0025, 0.0125])  # two of them between stored snapshots
+    mapped = d.map_solution(conservative_run, 0.0, times=times)
+    assert np.array_equal(mapped.times, times)
+    near = d.map_solution(conservative_run, 1e-12, times=times)
+    assert np.max(np.abs(_stacked(mapped) - _stacked(near))) <= 1e-15
 
 
 def test_map_zero_trajectory_stays_zero():
@@ -83,12 +100,12 @@ def test_map_zero_trajectory_stays_zero():
     p = d.PhysParams(0.0, 0.0)
     cfg = d.SimConfig(g, p, dt=1e-3, t_end=0.2, snapshot_stride=20)
     traj = run(cfg, d.Field.zeros(g))
-    mapped = d.map_solution(traj, 0.7)
+    mapped = d.map_solution(traj, 0.7, times=traj.times)
     assert all(s.max_abs() == 0.0 for s in mapped.snapshots)
 
 
 def test_map_fixes_initial_data(conservative_run):
-    mapped = d.map_solution(conservative_run, 0.5)
+    mapped = d.map_solution(conservative_run, 0.5, times=conservative_run.times)
     assert np.array_equal(
         mapped.snapshots[0].values, conservative_run.snapshots[0].values
     )
@@ -97,7 +114,7 @@ def test_map_fixes_initial_data(conservative_run):
 
 def test_map_amplitude_decay_bound(conservative_run):
     lam = 0.8
-    mapped = d.map_solution(conservative_run, lam)
+    mapped = d.map_solution(conservative_run, lam, times=conservative_run.times)
     v_peak = max(s.max_abs() for s in conservative_run.snapshots)
     for t, snap in zip(mapped.times, mapped.snapshots):
         assert snap.max_abs() <= math.exp(-lam * t) * v_peak + 1e-12
@@ -136,8 +153,9 @@ def test_equivalence_report_rejects_mismatched_grids(conservative_run):
         d.equivalence_report(conservative_run, subsample(conservative_run, 2))
 
 
-def _stacked(traj: d.Trajectory) -> np.ndarray:
-    return np.stack([s.values for s in traj.snapshots])
+def _inverse_images(tau, lam: float) -> np.ndarray:
+    """The damped times t with tau(t) = tau, for tau below 1/lam."""
+    return -np.log1p(-lam * tau) / lam
 
 
 def _map_values_stacked(conservative: d.Trajectory, lam: float, times) -> np.ndarray:
@@ -157,6 +175,8 @@ def _map_values_stacked(conservative: d.Trajectory, lam: float, times) -> np.nda
 
 @pytest.mark.parametrize("lam, times", [(0.3, None), (0.8, None), (0.5, np.linspace(0.0, 1.0, 37))])
 def test_map_is_bitwise_its_stacked_form(conservative_run, lam, times):
+    if times is None:  # the damped times of the stored snapshots
+        times = _inverse_images(conservative_run.times, lam)
     mapped = d.map_solution(conservative_run, lam, times=times)
     want = _map_values_stacked(conservative_run, lam, mapped.times)
     assert np.array_equal(_stacked(mapped), want)
@@ -164,7 +184,9 @@ def test_map_is_bitwise_its_stacked_form(conservative_run, lam, times):
 
 def test_equivalence_report_is_bitwise_its_stacked_form(conservative_run):
     # the damped values on the conservative clock differ from it at every time but t = 0
-    other = replace(d.map_solution(conservative_run, 0.8), times=conservative_run.times)
+    lam = 0.8
+    damped = d.map_solution(conservative_run, lam, times=_inverse_images(conservative_run.times, lam))
+    other = replace(damped, times=conservative_run.times)
     rep = d.equivalence_report(conservative_run, other)
     want = np.max(np.abs(_stacked(conservative_run) - _stacked(other)), axis=1)
     assert rep.max_abs.dtype == want.dtype and np.array_equal(rep.max_abs, want)

@@ -348,6 +348,17 @@ def test_run_of_zero_steps_exit_two(tmp_path, capsys, stride):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_odd_step_count_under_the_default_ladder_names_the_default(tmp_path, capsys):
+    # the default ladder [2 dt, dt] needs t_end to be an even number of dt steps
+    doc = _base_doc(name="odd-ladder", kind="ManufacturedConvergence")
+    doc["initial"] = {"family": "cosine", "amplitude": 0.05}
+    doc["solver"] = {"dt": 1.0e-3, "t_end": 3.0e-3}
+    cfg = _write(tmp_path, doc)
+    assert main(["run", str(cfg), "--output-root", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "options.dts" in err and "default" in err
+
+
 def test_run_is_deterministic(tmp_path):
     doc = _base_doc(name="det", kind="InvariantAudit")
     doc["initial"] = {"family": "cosine", "amplitude": 0.02, "modes": 1}

@@ -327,6 +327,17 @@ def test_simulate_cfl_gate(pgrid):
         d.simulate(d.SimConfig(pgrid, p, dt=dt, t_end=10 * dt), u0)
 
 
+def test_cfl_warning_points_at_the_caller_of_simulate(pgrid):
+    p = d.PhysParams(0.1, -0.2)
+    u0 = d.make_profile(pgrid, "cosine", amplitude=0.05)
+    from dghlab.solver import cfl_bound
+
+    dt = 1.5 * cfl_bound(pgrid, p, u0)
+    with pytest.warns(d.CflWarning) as caught:
+        d.simulate(d.SimConfig(pgrid, p, dt=dt, t_end=10 * dt), u0)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_simulate_rejects_unaligned_t_end(pgrid):
     p = d.PhysParams(0.0, 0.0)
     with pytest.raises(ValueError):
