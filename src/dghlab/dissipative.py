@@ -49,6 +49,8 @@ def map_solution(conservative: Trajectory, lam: float, times) -> Trajectory:
     run's own times give back its snapshots.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise ValueError(f"times must be a non-empty 1-D sequence, got shape {times.shape}")
     tau = to_conservative_time(times, lam)
     tau_grid = conservative.times
     if np.any(tau > tau_grid[-1] + 1e-12):

@@ -8,8 +8,11 @@ Two domain types are supported:
   ``x_j = -L + (j + 1/2) * h``, ``h = 2L/n``.  Cell-centered nodes are
   symmetric about the origin, which keeps parity arguments exact node-wise.
 
-Differentiation is spectral on the circle and sixth-order finite differences
-(with one-sided closures of the same order) on the line.  Quadrature is the
+Differentiation is spectral on the circle and sixth-order centred differences
+on the line, whose ghost nodes u_0 e^{-jh} and u_{n-1} e^{-jh}, j = 1..3, past
+the ends are the exterior tails: exact where the momentum u - u_xx is 0 at the
+ends, of lower order at the end nodes of an undecayed field, which
+``BoundaryDecayWarning`` reports.  Quadrature is the
 composite rectangle rule, which is spectrally accurate for smooth periodic
 data and superalgebraically accurate on the line once the integrand has
 decayed below machine precision at the boundary.
@@ -266,40 +269,33 @@ def _fornberg_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:
     return w[m]
 
 
-# Stencil half-width giving 6th-order interior accuracy for orders 1 and 2.
+# Stencil half-width of the 6th-order line derivatives, and their ghost nodes per end.
 _HALF_WIDTH = 3
 
 
 @lru_cache(maxsize=32)
 def _line_stencils(spacing: float, order: int):
-    """Read-only interior and closure weights for one spacing and order."""
-    s = _HALF_WIDTH
-    width = 2 * s + 1
-    offs = np.arange(-s, s + 1) * spacing
+    """Read-only centred weights, and the ghost factors e^{-jh}, j = 1.._HALF_WIDTH."""
+    offs = np.arange(-_HALF_WIDTH, _HALF_WIDTH + 1) * spacing
     interior = _fornberg_weights(offs, 0.0, order)
-    edge = np.arange(width) * spacing
-    closures = tuple(_fornberg_weights(edge, i * spacing, order) for i in range(s))
-    for w in (interior, *closures):
+    decay = np.exp(-spacing * np.arange(1, _HALF_WIDTH + 1))
+    for w in (interior, decay):
         w.setflags(write=False)
-    return s, interior, closures
+    return interior, decay
 
 
 def _derivative_line(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
-    s, interior, closures = _line_stencils(grid.spacing, order)
-    out = np.correlate(values, interior, mode="same")
-    width = 2 * s + 1
-    head, tail = values[:width], values[-width:]
-    for i, w in enumerate(closures):
-        out[i] = w @ head
-        out[-1 - i] = w[::-1] @ tail * (-1.0) ** order
-    return out
+    interior, decay = _line_stencils(grid.spacing, order)
+    padded = np.concatenate((values[0] * decay[::-1], values, values[-1] * decay))
+    return np.correlate(padded, interior, mode="valid")
 
 
 def derivative(f: Field, order: int) -> Field:
     """First or second spatial derivative (``order`` 1 or 2).
 
     Spectral differentiation on periodic grids (exact for resolved Fourier
-    modes); 6th-order centered stencils with one-sided closures on the line.
+    modes); 6th-order centred stencils on the line, with the exterior-tail
+    ghost nodes of the module docstring.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")

@@ -129,6 +129,12 @@ def test_map_rejects_uncovered_times(conservative_run):
         d.map_solution(conservative_run, lam, times=np.array([0.0, t_far]))
 
 
+@pytest.mark.parametrize("times", [0.01, []], ids=["scalar", "empty"])
+def test_map_rejects_a_scalar_or_empty_times(conservative_run, times):
+    with pytest.raises(ValueError, match="times"):
+        d.map_solution(conservative_run, 0.5, times=times)
+
+
 def test_equivalence_report_trivial_cases(conservative_run):
     rep = d.equivalence_report(conservative_run, conservative_run)
     assert rep.worst == 0.0

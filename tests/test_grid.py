@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import dghlab as d
 from dghlab import GridKind as GK
+from dghlab.grid import _derivative_line
 
 from conftest import band_limited
 
@@ -127,17 +128,38 @@ def test_line_derivative_gaussian(order, exact):
     assert err < 1e-8
 
 
-def test_line_derivative_boundary_closures_order():
-    # one-sided closures keep 6th-order accuracy: halving h gains ~2^6
+def _helmholtz_inverse_of_a_bump(x: float) -> float:
+    """u = (1/2) int e^{-|x - y|} (1 - y^2)^3 dy over [-1, 1]: exactly A e^{x} left
+    of the bump and B e^{-x} right of it."""
+    c = min(max(x, -1.0), 1.0)
+    left, _ = quad(lambda y: math.exp(y) * (1 - y * y) ** 3, -1.0, c, epsabs=0, epsrel=1e-13)
+    right, _ = quad(lambda y: math.exp(-y) * (1 - y * y) ** 3, c, 1.0, epsabs=0, epsrel=1e-13)
+    return 0.5 * (math.exp(-x) * left + math.exp(x) * right)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_line_derivative_end_nodes_order_on_exponential_tails(order):
+    # On the exterior tails the ghost nodes are exact, so the three end nodes
+    # keep the centred stencil's 6th order: halving h gains ~2^6.  There the
+    # exact u_x is +u on the left and -u on the right, and u_xx is u.
+    sign = np.array([1.0] * 3 + [(-1.0) ** order] * 3)
     errs = []
-    for n in (64, 128):
-        g = d.make_grid(GK.TRUNCATED_LINE, n, 2.0)
-        f = d.Field(g, np.sin(g.nodes))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", d.BoundaryDecayWarning)
-            df = d.derivative(f, 1)
-        errs.append(np.max(np.abs(df.values - np.cos(g.nodes))))
+    for n in (256, 512):
+        g = d.make_grid(GK.TRUNCATED_LINE, n, 20.0)
+        u = np.array([_helmholtz_inverse_of_a_bump(x) for x in g.nodes])
+        du = d.derivative(d.Field(g, u), order).values
+        ends = np.r_[0:3, n - 3 : n]
+        errs.append(np.max(np.abs(du[ends] - sign * u[ends])))
     assert errs[0] / errs[1] > 30.0
+
+
+def test_line_advection_operator_has_no_growing_mode():
+    # D1 column by column: the spectrum of +-0.9 D1 lies on the imaginary axis
+    # up to round-off, so neither end can feed a growing mode.
+    g = d.make_grid(GK.TRUNCATED_LINE, 256, 25.0)
+    d1 = np.column_stack([_derivative_line(g, e, 1) for e in np.eye(g.n)])
+    for speed in (0.9, -0.9):
+        assert np.max(np.linalg.eigvals(speed * d1).real) <= 1e-12
 
 
 # -- quadrature -------------------------------------------------------------

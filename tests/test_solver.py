@@ -420,6 +420,25 @@ def test_simulate_warns_boundary_decay_once_per_run():
     assert decay[0].filename == __file__
 
 
+@pytest.mark.parametrize("omega, gamma", [(0.45, -0.9), (-0.45, 0.9)])
+def test_a_zigzag_at_the_inflow_end_stays_at_round_off(omega, gamma):
+    # 2 omega + gamma = 0 and |u| ~ 1e-15 leave u_t = gamma u_x: transport at
+    # speed 0.9 into the domain from the left end for gamma < 0, the right for
+    # gamma > 0.  A zigzag planted there must not grow.
+    g = d.make_grid(GK.TRUNCATED_LINE, 2048, 25.0)
+    u0 = np.zeros(g.n)
+    inflow = slice(0, 10) if gamma < 0 else slice(-10, None)
+    u0[inflow] = 1.5e-15 * (-1.0) ** np.arange(10)
+    steps = math.ceil(2.0 / (0.2 * g.spacing))
+    cfg = d.SimConfig(g, d.PhysParams(omega, gamma), 2.0 / steps, 2.0, snapshot_stride=steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", d.CflWarning)
+        with pytest.warns(d.BoundaryDecayWarning):
+            traj = d.simulate(cfg, d.Field(g, u0))
+    assert traj.times[-1] == pytest.approx(2.0)
+    assert traj.snapshots[-1].max_abs() < 1e-12
+
+
 def test_simulate_is_deterministic(pgrid):
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(pgrid, p, dt=5e-4, t_end=0.05, snapshot_stride=10)
