@@ -24,12 +24,12 @@ import numpy as np
 
 from .grid import Field, derivative
 from .helmholtz import _LAGRANGE_INTERIOR, apply_lambda2
-from .solver import PhysParams, Trajectory, step_rk4
+from .solver import MaxNormSeries, PhysParams, Trajectory, step_rk4
 
 __all__ = ["evolve_characteristics", "transport_residual"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacteristicPaths:
     """Particle positions q(t, x) and stretches q_x(t, x) for a set of seeds.
 
@@ -167,23 +167,11 @@ def evolve_characteristics(traj: Trajectory, seeds) -> CharacteristicPaths:
     return CharacteristicPaths(seeds, traj.times, q, np.exp(w), exit_index)
 
 
-@dataclass(frozen=True)
-class TransportResidual:
-    """Largest residual of the transport identity at each snapshot time."""
-
-    times: np.ndarray
-    max_abs: np.ndarray  # max over the seeds still inside the domain, NaN once none is
-
-    @property
-    def worst(self) -> float:
-        # fmax skips the NaN of the times after every seed has left
-        return float(np.fmax.reduce(self.max_abs))
-
-
 def transport_residual(
     traj: Trajectory, paths: CharacteristicPaths, p: PhysParams
-) -> TransportResidual:
-    """Per-time max over the seeds of the momentum-transport residual.
+) -> MaxNormSeries:
+    """Per-time max over the seeds still inside the domain of the momentum-transport
+    residual, NaN once none is.
 
     Residual(t, x) = (m0(x) + c) - (m(t, q(t, x)) + c) * q_x(t, x)^2 with
     c = omega + gamma/2; identically zero for the exact flow.
@@ -201,4 +189,4 @@ def transport_residual(
         (mq,) = m_itp.blend(k, 0.0, np.where(paths.exit_index > k, paths.q[k], paths.seeds))
         res = m0c - (mq + c) * paths.qx[k] ** 2
         max_abs[k] = np.fmax.reduce(np.abs(res))
-    return TransportResidual(traj.times, max_abs)
+    return MaxNormSeries(traj.times, max_abs)

@@ -78,7 +78,7 @@ class QuietInterval:
     max_abs_F: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuationProbe:
     """Pointwise residual of the nonlocal identity and quiet-zone report.
 

@@ -16,12 +16,12 @@ any parameters and the equivalence experiment quantifies the match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .grid import Field
-from .solver import Trajectory
+from .solver import MaxNormSeries, Trajectory
 
 __all__ = ["equivalence_report", "map_solution", "to_conservative_time"]
 
@@ -75,20 +75,8 @@ def map_solution(conservative: Trajectory, lam: float, times) -> Trajectory:
     return Trajectory(cfg, times, snaps, conservative.termination, conservative.guard_time)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Per-time max-norm differences between two trajectories."""
-
-    times: np.ndarray
-    max_abs: np.ndarray
-
-    @property
-    def worst(self) -> float:
-        return float(np.max(self.max_abs))
-
-
-def equivalence_report(direct: Trajectory, mapped: Trajectory) -> EquivalenceReport:
-    """Compare two runs on the same grid and the same snapshot times."""
+def equivalence_report(direct: Trajectory, mapped: Trajectory) -> MaxNormSeries:
+    """Per-time max-norm difference of two runs on the same grid and snapshot times."""
     if direct.grid != mapped.grid:
         raise ValueError("trajectories live on different grids")
     if not np.array_equal(direct.times, mapped.times):
@@ -96,4 +84,4 @@ def equivalence_report(direct: Trajectory, mapped: Trajectory) -> EquivalenceRep
     max_abs = np.array(
         [np.max(np.abs(a.values - b.values)) for a, b in zip(direct.snapshots, mapped.snapshots)]
     )
-    return EquivalenceReport(direct.times, max_abs)
+    return MaxNormSeries(direct.times, max_abs)

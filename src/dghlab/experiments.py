@@ -86,7 +86,7 @@ class Check:
         return "  ".join(parts)
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentResult:
     checks: list[Check] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)

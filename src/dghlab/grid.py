@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -130,12 +131,13 @@ def make_grid(kind: GridKind, n: int, extent: float | None = None) -> Grid:
     return Grid(kind, n, 2.0 * float(extent))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Real samples of one function on a grid, one value per node.
 
     Values are validated to be finite (NaN/Inf is a hard error) and stored
-    read-only, so fields can be shared freely across threads.
+    read-only, so fields can be shared freely across threads.  Like every
+    record that holds arrays, a Field compares and hashes by identity.
     """
 
     grid: Grid
@@ -184,21 +186,27 @@ class Field:
         return Field(self.grid, -self.values)
 
 
-def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str, stacklevel: int = 3) -> bool:
-    """Warn, pointing at the caller's caller (or ``stacklevel`` frames up), when
-    truncated-line values have not decayed at the boundary; return whether it warned."""
+def _warn(message: str, category: type[Warning]) -> None:
+    """Warn at the innermost frame outside the dghlab package: the user's call."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "dghlab":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _check_boundary_decay(grid: Grid, values: np.ndarray, what: str) -> bool:
+    """Warn if truncated-line values have not decayed at the boundary; return whether it did."""
     if grid.is_periodic:
         return False
     peak = np.max(np.abs(values))
     edge = max(abs(values[0]), abs(values[-1]))
     if edge <= BOUNDARY_DECAY_RATIO * peak:
         return False
-    warnings.warn(
+    _warn(
         f"{what}: field magnitude {edge:.3e} at the domain boundary exceeds "
         f"{BOUNDARY_DECAY_RATIO:g} * max|f| = {BOUNDARY_DECAY_RATIO * peak:.3e}; "
         "truncated-line results may be polluted by the cut-off",
         BoundaryDecayWarning,
-        stacklevel=stacklevel,
     )
     return True
 

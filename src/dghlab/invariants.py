@@ -48,7 +48,7 @@ def relative_drift(values) -> np.ndarray:
     return np.abs(values - v0) / np.maximum(1.0, np.abs(v0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalSeries:
     name: str
     times: np.ndarray

@@ -41,7 +41,7 @@ _SOLVER_KEYS = {"dt", "t_end", "snapshot_stride", "blowup_guard"}
 _TOP_KEYS = {"name", "kind", "grid", "params", "initial", "solver", "output_dir", "options"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     name: str
     kind: str  # a key of KINDS

@@ -55,13 +55,12 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .grid import Field, Grid, _check_boundary_decay, _derivative_line, _spectral_factors
+from .grid import Field, Grid, _check_boundary_decay, _derivative_line, _spectral_factors, _warn
 from .helmholtz import _dx_invert_line
 
 __all__ = [
@@ -153,6 +152,19 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return self.config.grid
+
+
+@dataclass(frozen=True, eq=False)
+class MaxNormSeries:
+    """The max-norm of a quantity at each snapshot time of a run, NaN where it has none."""
+
+    times: np.ndarray
+    max_abs: np.ndarray
+
+    @property
+    def worst(self) -> float:
+        """The largest entry that is not NaN."""
+        return float(np.fmax.reduce(self.max_abs))
 
 
 def _kernel(grid: Grid, params: Sequence[PhysParams]) -> tuple[Callable, Callable]:
@@ -357,11 +369,10 @@ def check_run(config: SimConfig, u0: Field) -> int:
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end = {t_end:g} is not an integer number of dt = {dt:g} steps")
     if dt > bound:
-        warnings.warn(
+        _warn(
             f"dt = {dt:g} exceeds the advisory CFL bound {bound:g}; "
             "the run proceeds but accuracy should be checked by refinement",
             CflWarning,
-            stacklevel=4,  # the caller of simulate
         )
     return n_steps
 
@@ -389,9 +400,7 @@ def _simulate_rows(
     A forcing is evaluated for each row at each stage, and the rows' values
     reach the kernel stacked as (rows, n).
     """
-    n_steps = []
-    for config in configs:  # a comprehension's frame (Python < 3.12) would shift stacklevel
-        n_steps.append(check_run(config, u0))
+    n_steps = [check_run(config, u0) for config in configs]
     grid, p = configs[0].grid, configs[0].params
     if any((c.params.omega, c.params.gamma) != (p.omega, p.gamma) for c in configs):
         raise ValueError("batched runs must share omega and gamma")
@@ -437,7 +446,7 @@ def _simulate_rows(
                     ends[i] = Termination.NON_FINITE
                     continue
                 if not warned[i]:
-                    warned[i] = _check_boundary_decay(grid, u, "simulate", stacklevel=4)
+                    warned[i] = _check_boundary_decay(grid, u, "simulate")
                 t_now = step * config.dt
                 record = step % config.snapshot_stride == 0 or step == n_steps[i]
                 if peak_x > config.blowup_guard:

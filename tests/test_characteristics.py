@@ -344,3 +344,9 @@ def test_worst_skips_the_times_after_every_seed_has_left():
     assert np.all(np.isnan(tr.max_abs[k_exit:]))
     assert np.all(np.isfinite(tr.max_abs[:k_exit]))
     assert worst == np.max(tr.max_abs[:k_exit])
+
+
+def test_transport_residual_and_equivalence_report_share_one_record(cosine_run):
+    traj, p = cosine_run
+    tr = d.transport_residual(traj, d.evolve_characteristics(traj, [0.0]), p)
+    assert type(tr) is type(d.equivalence_report(traj, traj))

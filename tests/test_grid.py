@@ -57,6 +57,13 @@ def test_field_validation():
         f.values[0] = 1.0  # read-only storage
 
 
+def test_fields_compare_and_hash_by_identity():
+    g = d.make_grid(GK.PERIODIC, 16)
+    a, b = d.Field.zeros(g), d.Field.zeros(g)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_field_arithmetic_requires_same_grid():
     a = d.Field.zeros(d.make_grid(GK.PERIODIC, 16))
     b = d.Field.zeros(d.make_grid(GK.PERIODIC, 32))
@@ -254,6 +261,22 @@ def test_boundary_warning_fires_for_undecayed_field():
         d.derivative(f, 1)
     with pytest.warns(d.BoundaryDecayWarning):
         d.weighted_integral(f, "+")
+
+
+@pytest.mark.parametrize("call", ["energy_h1", "apply_lambda2", "evolve_characteristics"])
+def test_boundary_warning_points_at_the_caller(call):
+    g = d.make_grid(GK.TRUNCATED_LINE, 256, 10.0)
+    f = d.Field(g, np.ones(g.n))
+    cfg = d.SimConfig(g, d.PhysParams(0.0, 0.0), dt=0.1, t_end=0.1)
+    traj = d.Trajectory(cfg, [0.0, 0.1], [f, f], d.Termination.COMPLETED)
+    calls = {
+        "energy_h1": lambda: d.energy_h1(f),
+        "apply_lambda2": lambda: d.apply_lambda2(f),
+        "evolve_characteristics": lambda: d.evolve_characteristics(traj, [0.0]),
+    }
+    with pytest.warns(d.BoundaryDecayWarning) as caught:
+        calls[call]()
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_boundary_warning_silent_for_decayed_field():

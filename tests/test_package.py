@@ -105,7 +105,7 @@ _FOOTPRINT = textwrap.dedent(
     configs = sorted(Path("configs").glob("*.yaml"))
     line = [p for p in configs if yaml.safe_load(p.read_text())["grid"]["kind"] == "line"]
     periodic = [p for p in configs if p not in line]
-    assert len(line) == 2 and len(periodic) == 5, configs
+    assert len(line) == 3 and len(periodic) == 6, configs
     assert not scipy_modules(), scipy_modules()
     for p in periodic:
         assert load_scenario(p).grid.is_periodic, p
