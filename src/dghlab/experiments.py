@@ -12,8 +12,10 @@ Runners read every option from ``scn.options``, which parsing has validated
 and filled with defaults, and start their runs with one call of ``_run``,
 which steps the ``SimConfig`` entries that parsing planned and checked in
 ``scn.runs`` as one batch from ``scn.u0``, ManufacturedConvergence's forced
-ladder included; the worst termination of any run decides a numerical
-failure.
+ladder included, and returns the result to fill, already holding the worst
+termination of any run (which decides a numerical failure) and the first
+guard time.  The kinds of one run take it from ``_run_one``, which also
+records its end snapshots and its ``run_completed`` check.
 Runners never raise on a numerically failed run (a trajectory that hit the
 NaN guard is reported, with whatever prefix was computed) or on a
 measurement that finds nothing to measure (that is a failed check); they
@@ -103,23 +105,32 @@ class ExperimentResult:
 
 
 def _run(
-    scn: Scenario, result: ExperimentResult, *wheres: str, forcing: ForcingFn | None = None
-) -> list[Trajectory]:
+    scn: Scenario, *wheres: str, forcing: ForcingFn | None = None
+) -> tuple[ExperimentResult, list[Trajectory]]:
     """Step the runs planned under ``wheres`` (every planned run when none is
-    named) as one batch from ``scn.u0``, and return their trajectories in order.
-    A forcing, when given, drives every run of the batch.
+    named) as one batch from ``scn.u0``, and return a new result with their
+    trajectories in order.  A forcing, when given, drives every run of the batch.
 
-    Folded in that order, result keeps the worst termination of the kind's runs
-    (completed < blowup_guard < non_finite) and the first guard time.
+    The result holds the worst termination of the runs (completed <
+    blowup_guard < non_finite) and the first guard time in plan order.
     """
     trajs = _simulate_rows([scn.runs[where] for where in wheres or scn.runs], scn.u0, forcing)
-    for traj in trajs:
-        before = Termination(result.metadata.get("termination", "completed"))
-        worst = max(before, traj.termination, key=list(Termination).index)
-        result.metadata["termination"] = worst.value
-        if traj.guard_time is not None:
-            result.metadata.setdefault("guard_time", traj.guard_time)
-    return trajs
+    worst = max((traj.termination for traj in trajs), key=list(Termination).index)
+    result = ExperimentResult(metadata={"termination": worst.value})
+    guard_times = [traj.guard_time for traj in trajs if traj.guard_time is not None]
+    if guard_times:
+        result.metadata["guard_time"] = guard_times[0]
+    return result, trajs
+
+
+def _run_one(scn: Scenario) -> tuple[ExperimentResult, Trajectory]:
+    """Step the kind's one planned run, recording its end snapshots and
+    whether it completed."""
+    result, (traj,) = _run(scn)
+    _record_ends(result, traj)
+    completed = traj.termination is Termination.COMPLETED
+    result.checks.append(Check("run_completed", completed, detail=f"termination={traj.termination.value}"))
+    return result, traj
 
 
 def _record_ends(result: ExperimentResult, traj: Trajectory) -> None:
@@ -138,22 +149,11 @@ def _standard_series(result: ExperimentResult, traj: Trajectory) -> list[Functio
     return out
 
 
-def _check_completed(result: ExperimentResult, traj: Trajectory) -> None:
-    result.checks.append(
-        Check(
-            "run_completed",
-            traj.termination is Termination.COMPLETED,
-            detail=f"termination={traj.termination.value}",
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 
 
 def _run_free(scn: Scenario) -> ExperimentResult:
-    result = ExperimentResult()
-    (traj,) = _run(scn, result)
+    result, (traj,) = _run(scn)
     _record_ends(result, traj)
     _standard_series(result, traj)
     result.checks.append(
@@ -168,11 +168,8 @@ def _run_free(scn: Scenario) -> ExperimentResult:
 
 def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     opts = scn.options
-    result = ExperimentResult()
-    (traj,) = _run(scn, result)
-    _record_ends(result, traj)
+    result, traj = _run_one(scn)
     e, m = _standard_series(result, traj)
-    _check_completed(result, traj)
 
     if scn.params.lam == 0.0:
         e_tol = opts["energy_tol"]
@@ -189,7 +186,10 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
                 1e-10,
             )
         )
-    h2 = _h2_series(traj, scn.params)
+    h2 = {
+        v: drift_series(traj, lambda u, v=v: hamiltonian_h2(u, scn.params, v), v.value)
+        for v in H2Variant
+    }
     for variant, s in h2.items():
         result.series[f"h2_{variant.value}"] = (s.times, s.values)
 
@@ -207,20 +207,10 @@ def _run_invariant_audit(scn: Scenario) -> ExperimentResult:
     return result
 
 
-def _h2_series(traj: Trajectory, p: PhysParams) -> dict[H2Variant, FunctionalSeries]:
-    """Both cubic variants along traj."""
-    return {
-        v: drift_series(traj, lambda u, v=v: hamiltonian_h2(u, p, v), v.value) for v in H2Variant
-    }
-
-
 def _run_support(scn: Scenario) -> ExperimentResult:
     thr_rel = scn.options["support_threshold_rel"]
     margin = scn.options["margin_spacings"]
-    result = ExperimentResult()
-    (traj,) = _run(scn, result)
-    _record_ends(result, traj)
-    _check_completed(result, traj)
+    result, traj = _run_one(scn)
 
     m0 = apply_lambda2(traj.snapshots[0])
     if m0.max_abs() == 0.0:
@@ -234,20 +224,14 @@ def _run_support(scn: Scenario) -> ExperimentResult:
     # threshold on the clean initial data.
     seed_rel = max(1e-12, 1e-6 * thr_rel)
     paths = evolve_characteristics(traj, support_interval(m0, seed_rel * m0.max_abs()).interval)
-    h = scn.grid.spacing
-
-    lo_edges, hi_edges = [], []
-    worst_excess = -math.inf
-    for k in range(len(traj.times)):
-        mk = apply_lambda2(traj.snapshots[k])
-        rep = support_interval(mk, thr_rel * mk.max_abs())
-        lo, hi = rep.interval
-        lo_edges.append(lo)
-        hi_edges.append(hi)
-        excess = max(paths.q[k, 0] - margin * h - lo, hi - (paths.q[k, 1] + margin * h))
-        worst_excess = max(worst_excess, excess)
-    result.series["support_lo"] = (traj.times, np.asarray(lo_edges))
-    result.series["support_hi"] = (traj.times, np.asarray(hi_edges))
+    slack = margin * scn.grid.spacing
+    ms = map(apply_lambda2, traj.snapshots)
+    lo, hi = np.array([support_interval(mk, thr_rel * mk.max_abs()).interval for mk in ms]).T
+    # A seed that left the line is NaN from then on, and its edge bounds nothing.
+    excess = np.fmax(paths.q[:, 0] - slack - lo, hi - (paths.q[:, 1] + slack))
+    worst_excess = float(np.fmax.reduce(excess))
+    result.series["support_lo"] = (traj.times, lo)
+    result.series["support_hi"] = (traj.times, hi)
     result.series["char_lo"] = (traj.times, paths.q[:, 0])
     result.series["char_hi"] = (traj.times, paths.q[:, 1])
     result.metadata["support_threshold_rel"] = thr_rel
@@ -270,10 +254,7 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
     offset = scn.options["window_offset"]
     width = scn.options["window_width"]
     rate_tol = scn.options["rate_tol"]
-    result = ExperimentResult()
-    (traj,) = _run(scn, result)
-    _record_ends(result, traj)
-    _check_completed(result, traj)
+    result, traj = _run_one(scn)
 
     u_end = traj.snapshots[-1]
     m_end = apply_lambda2(u_end)
@@ -301,16 +282,10 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
 
 def _run_probe(scn: Scenario) -> ExperimentResult:
     tol = scn.options["residual_tol"]
-    result = ExperimentResult()
-    (traj,) = _run(scn, result)
-    _record_ends(result, traj)
-    _check_completed(result, traj)
+    p = scn.params
+    result, traj = _run_one(scn)
 
-    residuals = []
-    for snap in traj.snapshots:
-        probe = continuation_probe(snap, rhs_nonlocal(snap, scn.params), scn.params)
-        residuals.append(probe.max_residual)
-    residuals = np.asarray(residuals)
+    residuals = np.array([continuation_probe(s, rhs_nonlocal(s, p), p).max_residual for s in traj.snapshots])
     result.series["probe_residual"] = (traj.times, residuals)
     worst = float(np.max(residuals))
     result.metadata["max_probe_residual"] = worst
@@ -338,13 +313,11 @@ def _undamped_run(base: SimConfig, lambdas: list[float]) -> SimConfig:
 def _run_dissipative_equivalence(scn: Scenario) -> ExperimentResult:
     tol = scn.options["error_tol"]
     lambdas = scn.options["lambdas"]
-    result = ExperimentResult()
     wheres = [f"options.lambdas[{i}]" for i in range(len(lambdas))]
-    conservative, *directs = _run(scn, result, "options.lambdas", *wheres)
+    result, (conservative, *directs) = _run(scn, "options.lambdas", *wheres)
+    _record_ends(result, directs[0])
     worst_by_lambda = {}
     for lam, direct in zip(lambdas, directs):
-        if not result.snapshots:
-            _record_ends(result, direct)
         name = f"equivalence_lambda_{lam:g}"
         if to_conservative_time(scn.solver["t_end"], lam) > conservative.times[-1] + 1e-12:
             detail = f"undamped run: termination={conservative.termination.value}"
@@ -375,14 +348,13 @@ def _run_manufactured(scn: Scenario) -> ExperimentResult:
 
     exact_end = math.exp(-t_end) * scn.u0.values  # the forced solution is exp(-t) u0
 
-    result = ExperimentResult()
-    errors = []
-    rungs = _run(scn, result, forcing=manufactured_forcing(scn.u0, scn.params))
-    for traj in sorted(rungs, key=lambda traj: traj.config.dt, reverse=True):
-        err = float(np.max(np.abs(traj.snapshots[-1].values - exact_end)))
-        errors.append((traj.config.dt, err))
-        if not result.snapshots:
-            _record_ends(result, traj)
+    result, rungs = _run(scn, forcing=manufactured_forcing(scn.u0, scn.params))
+    rungs.sort(key=lambda traj: traj.config.dt, reverse=True)  # coarsest first
+    _record_ends(result, rungs[0])
+    errors = [
+        (traj.config.dt, float(np.max(np.abs(traj.snapshots[-1].values - exact_end))))
+        for traj in rungs
+    ]
     result.series["error_vs_dt"] = (
         np.array([d for d, _ in errors]),
         np.array([e for _, e in errors]),

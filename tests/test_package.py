@@ -30,6 +30,34 @@ SRC = Path(dghlab.__file__).resolve().parent
 ROOT = SRC.parents[1]
 
 
+def line_split(path: Path) -> tuple[int, int, int, int, int]:
+    """(total, code, docstring, comment, blank) lines of a source file.
+
+    Docstring lines are those of the first string statement of the module and
+    of each class and function, blank ones included; of the other lines,
+    comment lines start with ``#`` and code lines are the rest that are not
+    blank.
+    """
+    lines = path.read_text().splitlines()
+    docstring = set()
+    for node in ast.walk(ast.parse("\n".join(lines), str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            value = first.value if isinstance(first, ast.Expr) else None
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                docstring.update(range(first.lineno, first.end_lineno + 1))
+    rest = [line.strip() for i, line in enumerate(lines, 1) if i not in docstring]
+    comment = sum(line.startswith("#") for line in rest)
+    blank = rest.count("")
+    return len(lines), len(rest) - comment - blank, len(docstring), comment, blank
+
+
+def test_line_split_counts_each_line_once(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('"""Doc.\n\nMore."""\n\n# note\nx = 1  # trailing\n\n\ndef f():\n    """One."""\n    return x\n')
+    assert line_split(src) == (11, 3, 4, 1, 3)
+
+
 def test_all_is_the_union_of_the_module_lists():
     from_modules = [name for m in MODULES for name in m.__all__]
     assert len(from_modules) == len(set(from_modules))  # no name in two modules
@@ -128,3 +156,12 @@ def test_only_the_runs_that_call_scipy_load_it(tmp_path):
         cwd=ROOT, capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
+
+
+if __name__ == "__main__":
+    # The size of the library by kind of line, per module and in total.
+    rows = {path.name: line_split(path) for path in sorted(SRC.glob("*.py"))}
+    rows["total"] = tuple(map(sum, zip(*rows.values())))
+    print(f"{'module':<20}" + "".join(f"{h:>11}" for h in ("total", "code", "docstring", "comment", "blank")))
+    for name, split in rows.items():
+        print(f"{name:<20}" + "".join(f"{v:>11,}" for v in split))

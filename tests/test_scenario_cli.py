@@ -538,6 +538,24 @@ def test_support_leaving_the_cone_fails_the_check(tmp_path, monkeypatch):
     assert checks["run_completed"]["passed"]
 
 
+def test_the_cone_check_keeps_the_right_edge_after_the_left_seed_left():
+    # (omega, gamma) = (-0.5, 1) carries the bump left: its left seed leaves the
+    # line while the right edge is still tracked, and that edge must still count.
+    doc = _line_bump_doc("cone", "SupportPropagation", 256, 4.0, 0.5, 4.0)
+    doc["params"] = {"omega": -0.5, "gamma": 1.0}
+    doc["solver"] = {"dt": 4.0e-3, "t_end": 4.0, "snapshot_stride": 25}
+    scn = parse_scenario(doc)
+    with pytest.warns(d.BoundaryDecayWarning):  # u reaches the ends
+        result = execute(scn)
+    s = {name: values for name, (_, values) in result.series.items()}
+    slack = 3.0 * scn.grid.spacing
+    left = s["char_lo"] - slack - s["support_lo"]
+    right = s["support_hi"] - (s["char_hi"] + slack)
+    assert 0 < np.isnan(left).sum() < left.size and not np.isnan(right).any()
+    (cone,) = [c for c in result.checks if c.name == "support_in_characteristic_cone"]
+    assert cone.value == max(np.nanmax(left), np.nanmax(right)) > np.nanmax(left)
+
+
 def test_tail_windows_past_the_domain_fail_both_rates(tmp_path):
     # both fit windows start 15 beyond the momentum support, past the domain's ends
     doc = _line_bump_doc("tails", "TailFormation", 512, 10.0, 1.0, 0.1)
@@ -678,13 +696,14 @@ def test_dissipative_equivalence_fails_lambdas_beyond_a_short_undamped_run(monke
     assert checks["equivalence_lambda_0.5"].passed and checks["equivalence_lambda_1"].passed
 
 
-def _cut_short(target, termination):
-    """A per-run patch: the run of SimConfig target stops halfway with termination."""
+def _cut_short(target, termination, share=0.5):
+    """A per-run patch: the run of SimConfig target stops with termination
+    after that share of its snapshots (halfway by default)."""
 
     def cut(cfg, traj):
         if cfg != target:
             return traj
-        keep = len(traj.times) // 2
+        keep = int(len(traj.times) * share)
         guarded = termination is d.Termination.BLOWUP_GUARD
         return replace(
             traj,
@@ -733,6 +752,38 @@ def test_dissipative_equivalence_fails_a_lambda_whose_direct_run_stopped(monkeyp
     assert result.metadata["termination"] == "blowup_guard"
     assert result.metadata["guard_time"] == 0.04
     assert "0.5" not in result.metadata["max_error_by_lambda"]
+
+
+@pytest.mark.parametrize(
+    "shares, non_finite",
+    [((0.8, 0.3), False), ((0.3, 0.8), False), ((0.8, 0.3), True)],
+    ids=["first_stops_later", "first_stops_earlier", "with_a_non_finite_row"],
+)
+def test_a_batch_keeps_the_first_guard_time_and_the_worst_termination(monkeypatch, shares, non_finite):
+    # lambdas[1] and lambdas[2] both trip the guard; lambdas[0] may go non-finite
+    scn = _equivalence_scenario(0.1)
+    guarded = d.Termination.BLOWUP_GUARD
+    cuts = [
+        _cut_short(scn.runs[f"options.lambdas[{i}]"], guarded, share)
+        for i, share in zip((1, 2), shares)
+    ]
+    if non_finite:
+        cuts.append(_cut_short(scn.runs["options.lambdas[0]"], d.Termination.NON_FINITE))
+    guard_times = {}
+
+    def per_run(cfg, traj):
+        for cut in cuts:
+            traj = cut(cfg, traj)
+        guard_times[cfg.params.lam] = traj.guard_time
+        return traj
+
+    _patch_runs(monkeypatch, per_run)
+    result = execute(scn)
+    assert guard_times[0.0] is None and guard_times[0.1] is None
+    assert guard_times[0.5] != guard_times[1.0]  # the times differ, so the order shows
+    assert result.metadata["guard_time"] == guard_times[0.5]  # lambdas[1], first in plan order
+    assert result.metadata["termination"] == ("non_finite" if non_finite else "blowup_guard")
+    assert result.numerical_failure is non_finite
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
