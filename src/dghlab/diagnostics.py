@@ -8,11 +8,10 @@ events:
 * ``sign_kernel_S`` evaluates the two-sided exponential comparison kernel
   ``S(y) = sgn(a - y) e^{-|a-y|} - sgn(b - y) e^{-|b-y|}``, positive outside
   ``[a, b]``;
-* ``continuation_probe`` checks the pointwise identity
-  ``F = -(u_t + (u + 2 omega) u_x)`` with
+* ``continuation_probe`` measures, at each snapshot of a run, the pointwise
+  identity ``F = -(u_t + (u + 2 omega) u_x)`` with
   ``F = d/dx Lambda^{-2}(u^2 + u_x^2 / 2)``, which holds on solutions in the
-  ``gamma = -2 omega`` regime, and reports how small F is on intervals where
-  u itself is quiet;
+  ``gamma = -2 omega`` regime;
 * ``tail_decay_fit`` fits the exponential decay rate of a field's tail;
 * ``vanishing_rectangle`` finds maximal space-time rectangles on which a
   trajectory stays below a tolerance (a truncated line's far tails can).
@@ -29,7 +28,7 @@ import numpy as np
 
 from .grid import Field, derivative
 from .helmholtz import dx_invert_lambda2
-from .solver import PhysParams, Trajectory
+from .solver import MaxNormSeries, PhysParams, Trajectory, rhs_nonlocal
 
 __all__ = [
     "continuation_probe",
@@ -44,7 +43,6 @@ class SupportReport:
     """Detected support interval of a field, or None when below threshold."""
 
     interval: Optional[tuple[float, float]]
-    boundary_touch: bool
 
 
 def support_interval(f: Field, threshold: float) -> SupportReport:
@@ -53,11 +51,10 @@ def support_interval(f: Field, threshold: float) -> SupportReport:
         raise ValueError(f"threshold must be positive, got {threshold}")
     above = np.abs(f.values) >= threshold
     if not np.any(above):
-        return SupportReport(None, False)
+        return SupportReport(None)
     idx = np.nonzero(above)[0]
     x = f.grid.nodes
-    touch = bool(above[0] or above[-1])
-    return SupportReport((float(x[idx[0]]), float(x[idx[-1]])), touch)
+    return SupportReport((float(x[idx[0]]), float(x[idx[-1]])))
 
 
 def sign_kernel_S(a: float, b: float, y) -> np.ndarray | float:
@@ -71,30 +68,6 @@ def sign_kernel_S(a: float, b: float, y) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class QuietInterval:
-    x_lo: float
-    x_hi: float
-    max_abs_F: float
-
-
-@dataclass(frozen=True, eq=False)
-class ContinuationProbe:
-    """Pointwise residual of the nonlocal identity and quiet-zone report.
-
-    ``max_residual`` is the max over nodes of ``|F + u_t + (u + 2 omega) u_x|``
-    with u_t supplied by the caller (normally the semidiscrete right-hand side
-    at the snapshot).  ``quiet`` lists the runs of nodes where |u| < QUIET_TOL.
-    """
-
-    F: Field
-    max_residual: float
-    quiet: tuple[QuietInterval, ...]
-
-
-QUIET_TOL = 1e-12
-
-
 def continuation_regime(p: PhysParams) -> bool:
     """Whether gamma = -2 omega, up to rounding relative to |gamma|.
 
@@ -104,33 +77,24 @@ def continuation_regime(p: PhysParams) -> bool:
     return abs(p.gamma + 2.0 * p.omega) <= 1e-12 * (1.0 + abs(p.gamma))
 
 
-def continuation_probe(u: Field, rhs_at_snapshot: Field, p: PhysParams) -> ContinuationProbe:
-    """Evaluate the nonlocal-identity residual; requires gamma = -2 omega."""
+def continuation_probe(traj: Trajectory) -> MaxNormSeries:
+    """Per-snapshot max over nodes of ``|F + u_t + (u + 2 omega) u_x|``.
+
+    u_t is ``rhs_nonlocal(u, p)`` with the run's own parameters p, which must
+    satisfy gamma = -2 omega.
+    """
+    p = traj.config.params
     if not continuation_regime(p):
         raise ValueError(
             f"the identity holds for gamma = -2 omega; got omega={p.omega}, gamma={p.gamma}"
         )
-    ux = derivative(u, 1)
-    h = Field(u.grid, u.values**2 + 0.5 * ux.values**2)
-    F = dx_invert_lambda2(h)
-    residual = F.values + rhs_at_snapshot.values + (u.values + 2.0 * p.omega) * ux.values
-    quiet = []
-    for j0, j1 in _quiet_runs(np.abs(u.values) < QUIET_TOL):
-        x = u.grid.nodes
-        quiet.append(
-            QuietInterval(
-                float(x[j0]), float(x[j1]), float(np.max(np.abs(F.values[j0 : j1 + 1])))
-            )
-        )
-    return ContinuationProbe(F, float(np.max(np.abs(residual))), tuple(quiet))
-
-
-def _quiet_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True entries as inclusive index pairs."""
-    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
-    starts = np.flatnonzero(edges == 1).tolist()
-    ends = (np.flatnonzero(edges == -1) - 1).tolist()
-    return list(zip(starts, ends))
+    max_abs = np.empty(len(traj.times))
+    for k, u in enumerate(traj.snapshots):
+        ux = derivative(u, 1)
+        F = dx_invert_lambda2(Field(u.grid, u.values**2 + 0.5 * ux.values**2))
+        residual = F.values + rhs_nonlocal(u, p).values + (u.values + 2.0 * p.omega) * ux.values
+        max_abs[k] = np.max(np.abs(residual))
+    return MaxNormSeries(traj.times, max_abs)
 
 
 def tail_decay_fit(f: Field, side: str, window: tuple[float, float]) -> float:
@@ -162,8 +126,14 @@ class Rectangle:
     t_hi: float
     x_lo: float
     x_hi: float
-    time_span: tuple[int, int]  # inclusive snapshot indices
-    node_span: tuple[int, int]  # inclusive node indices
+
+
+def _quiet_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of True entries as inclusive index pairs."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1).tolist()
+    ends = (np.flatnonzero(edges == -1) - 1).tolist()
+    return list(zip(starts, ends))
 
 
 def vanishing_rectangle(traj: Trajectory, tol: float) -> list[Rectangle]:
@@ -209,14 +179,8 @@ def vanishing_rectangle(traj: Trajectory, tol: float) -> list[Rectangle]:
         )
     ]
     x = traj.grid.nodes
+    t = traj.times
     return [
-        Rectangle(
-            float(traj.times[k0]),
-            float(traj.times[k1]),
-            float(x[j0]),
-            float(x[j1]),
-            (k0, k1),
-            (j0, j1),
-        )
+        Rectangle(float(t[k0]), float(t[k1]), float(x[j0]), float(x[j1]))
         for k0, k1, j0, j1 in maximal
     ]

@@ -58,7 +58,6 @@ from .solver import (
     Trajectory,
     _simulate_rows,
     manufactured_forcing,
-    rhs_nonlocal,
 )
 
 if TYPE_CHECKING:
@@ -282,12 +281,11 @@ def _run_tails(scn: Scenario) -> ExperimentResult:
 
 def _run_probe(scn: Scenario) -> ExperimentResult:
     tol = scn.options["residual_tol"]
-    p = scn.params
     result, traj = _run_one(scn)
 
-    residuals = np.array([continuation_probe(s, rhs_nonlocal(s, p), p).max_residual for s in traj.snapshots])
-    result.series["probe_residual"] = (traj.times, residuals)
-    worst = float(np.max(residuals))
+    probe = continuation_probe(traj)
+    result.series["probe_residual"] = (probe.times, probe.max_abs)
+    worst = probe.worst
     result.metadata["max_probe_residual"] = worst
     result.checks.append(Check("continuation_identity", worst < tol, worst, tol))
 

@@ -127,7 +127,8 @@ class Termination(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Snapshots (t, u) of one run, with strictly increasing times from t = 0.
+    """Snapshots (t, u) of one run on the config's grid, with strictly
+    increasing times from t = 0.
 
     An immutable record, compared and hashed by identity: ``times`` is a
     read-only float copy of the array given and ``snapshots`` a tuple.
@@ -148,6 +149,9 @@ class Trajectory:
             raise ValueError("times and snapshots disagree in length")
         if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise ValueError("snapshot times must increase strictly from t = 0")
+        for k, s in enumerate(self.snapshots):
+            if s.grid != self.config.grid:
+                raise ValueError(f"snapshot {k} lives on {s.grid}, not the config's {self.config.grid}")
 
     @property
     def grid(self) -> Grid:

@@ -283,9 +283,7 @@ def vanishing_rectangle_stacked(traj: d.Trajectory, tol: float) -> list:
     ]
     x = traj.grid.nodes
     return [
-        Rectangle(
-            float(traj.times[k0]), float(traj.times[k1]), float(x[j0]), float(x[j1]), (k0, k1), (j0, j1)
-        )
+        Rectangle(float(traj.times[k0]), float(traj.times[k1]), float(x[j0]), float(x[j1]))
         for k0, k1, j0, j1 in maximal
     ]
 

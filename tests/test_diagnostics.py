@@ -20,7 +20,7 @@ from conftest import dx_invert_lambda2_direct, run, vanishing_rectangle_stacked
 def test_support_of_zero_field_is_empty():
     g = d.make_grid(GK.PERIODIC, 128)
     rep = d.support_interval(d.Field.zeros(g), 1e-10)
-    assert rep.interval is None and not rep.boundary_touch
+    assert rep.interval is None
 
 
 def test_support_threshold_must_be_positive():
@@ -36,9 +36,7 @@ def test_support_of_bump_matches_threshold_crossing():
     f = d.make_profile(g, "bump", amplitude=1.0, width=1.0)
     thr = 1e-10
     s_star = math.sqrt(1.0 - 1.0 / (1.0 + math.log(1.0 / thr)))
-    rep = d.support_interval(f, thr)
-    assert not rep.boundary_touch
-    lo, hi = rep.interval
+    lo, hi = d.support_interval(f, thr).interval
     assert lo == pytest.approx(-s_star, abs=1.5 * g.spacing)
     assert hi == pytest.approx(+s_star, abs=1.5 * g.spacing)
     assert -1.0 - g.spacing <= lo and hi <= 1.0 + g.spacing
@@ -47,9 +45,8 @@ def test_support_of_bump_matches_threshold_crossing():
 def test_support_of_sine_spans_domain_and_touches_boundary():
     g = d.make_grid(GK.PERIODIC, 256)
     f = d.Field(g, np.sin(2 * np.pi * g.nodes))
-    rep = d.support_interval(f, 1e-10)
-    assert rep.boundary_touch
-    lo, hi = rep.interval
+    lo, hi = d.support_interval(f, 1e-10).interval
+    assert hi == g.nodes[-1]  # sin(0) = 0 leaves out node 0, not the last one
     assert hi - lo > 1.0 - 3 * g.spacing
 
 
@@ -111,19 +108,32 @@ def test_sign_kernel_absolutely_integrable():
 # -- continuation probe -------------------------------------------------------
 
 
+def _probe_reference(traj: d.Trajectory) -> np.ndarray:
+    """Per-snapshot max|F + u_t + (u + 2 omega) u_x|, with u_t = rhs_nonlocal(u, p)."""
+    p = traj.config.params
+    out = []
+    for u in traj.snapshots:
+        ux = d.derivative(u, 1)
+        F = d.dx_invert_lambda2(d.Field(u.grid, u.values**2 + 0.5 * ux.values**2))
+        u_t = d.rhs_nonlocal(u, p)
+        out.append(np.max(np.abs(F.values + u_t.values + (u.values + 2.0 * p.omega) * ux.values)))
+    return np.array(out)
+
+
 def test_probe_zero_field():
     g = d.make_grid(GK.PERIODIC, 128)
-    p = d.PhysParams(0.25, -0.5)
-    probe = d.continuation_probe(d.Field.zeros(g), d.Field.zeros(g), p)
-    assert probe.max_residual == 0.0
-    assert probe.F.max_abs() == 0.0
-    assert probe.quiet and probe.quiet[0].max_abs_F == 0.0
+    cfg = d.SimConfig(g, d.PhysParams(0.25, -0.5), dt=1e-3, t_end=2e-3)
+    traj = run(cfg, d.Field.zeros(g))
+    probe = d.continuation_probe(traj)
+    assert probe.max_abs.tolist() == [0.0, 0.0, 0.0] and probe.worst == 0.0
 
 
 def test_probe_requires_gamma_minus_two_omega():
     g = d.make_grid(GK.PERIODIC, 128)
-    with pytest.raises(ValueError):
-        d.continuation_probe(d.Field.zeros(g), d.Field.zeros(g), d.PhysParams(0.3, 0.0))
+    cfg = d.SimConfig(g, d.PhysParams(0.3, 0.0), dt=1e-2, t_end=0.01)
+    traj = d.Trajectory(cfg, [0.0], [d.Field.zeros(g)], d.Termination.COMPLETED)
+    with pytest.raises(ValueError, match="-2 omega"):
+        d.continuation_probe(traj)
 
 
 def test_probe_sine_closed_form_and_two_paths():
@@ -131,10 +141,10 @@ def test_probe_sine_closed_form_and_two_paths():
     # so F = -(pi^2 - 1/2) 4 pi sin(4 pi x) / (1 + 16 pi^2)
     g = d.make_grid(GK.PERIODIC, 512)
     u = d.Field(g, np.sin(2 * np.pi * g.nodes))
-    p = d.PhysParams(0.1, -0.2)
-    probe = d.continuation_probe(u, d.rhs_nonlocal(u, p), p)
+    ux = d.derivative(u, 1)
+    F = d.dx_invert_lambda2(d.Field(g, u.values**2 + 0.5 * ux.values**2))
     closed = -(np.pi**2 - 0.5) * 4 * np.pi * np.sin(4 * np.pi * g.nodes) / (1 + 16 * np.pi**2)
-    assert np.max(np.abs(probe.F.values - closed)) < 1e-12
+    assert np.max(np.abs(F.values - closed)) < 1e-12
 
     # two independent evaluation paths for F (spectral division vs sampled
     # kernel), compared at high resolution where aliasing is negligible
@@ -152,20 +162,22 @@ def test_probe_residual_small_on_simulated_snapshot():
     p = d.PhysParams(0.1, -0.2)
     cfg = d.SimConfig(g, p, dt=5e-4, t_end=0.2, snapshot_stride=40)
     traj = run(cfg, d.make_profile(g, "cosine", amplitude=0.05))
-    for snap in traj.snapshots:
-        probe = d.continuation_probe(snap, d.rhs_nonlocal(snap, p), p)
-        assert probe.max_residual < 1e-6
+    probe = d.continuation_probe(traj)
+    assert len(probe.max_abs) == len(traj.snapshots) == 11
+    assert np.all(probe.max_abs < 1e-6)
 
 
-def test_probe_reports_quiet_intervals():
-    g = d.make_grid(GK.TRUNCATED_LINE, 1024, 10.0)
-    u = d.make_profile(g, "bump", amplitude=0.5, center=-5.0, width=1.0)
-    p = d.PhysParams(0.0, 0.0)
-    probe = d.continuation_probe(u, d.Field.zeros(g), p)
-    assert probe.quiet  # the field vanishes outside the bump
-    widest = max(probe.quiet, key=lambda q: q.x_hi - q.x_lo)
-    assert widest.x_hi > 4.0  # the whole right half is quiet
-    assert np.isfinite(widest.max_abs_F)
+@pytest.mark.parametrize("kind", [GK.PERIODIC, GK.TRUNCATED_LINE], ids=["circle", "line"])
+def test_probe_is_the_identity_residual_at_each_snapshot(kind):
+    g = d.make_grid(kind, 256, 20.0)
+    cfg = d.SimConfig(g, d.PhysParams(0.1, -0.2), dt=1e-3, t_end=0.1, snapshot_stride=20)
+    profile = "cosine" if kind is GK.PERIODIC else "bump"
+    traj = d.simulate(cfg, d.make_profile(g, profile, amplitude=0.05))
+    probe = d.continuation_probe(traj)
+    assert np.array_equal(probe.times, traj.times)
+    want = _probe_reference(traj)
+    assert probe.max_abs.tobytes() == want.tobytes()
+    assert 0.0 < probe.worst < 1e-6
 
 
 def _quiet_runs_loop(mask):
@@ -246,7 +258,7 @@ def test_vanishing_rectangles_zero_trajectory_covers_domain():
     assert len(rects) == 1
     r = rects[0]
     assert r.t_lo == 0.0 and r.t_hi == traj.times[-1]
-    assert r.node_span == (0, g.n - 1)
+    assert (r.x_lo, r.x_hi) == (g.nodes[0], g.nodes[-1])
 
 
 def test_vanishing_rectangles_empty_for_nontrivial_run():
@@ -288,12 +300,15 @@ def test_probe_quiet_on_detected_rectangles():
     traj = run(cfg, u0)
     rects = d.vanishing_rectangle(traj, 1e-12)
     assert rects
+    x = traj.grid.nodes
     for r in rects:
-        for k in range(r.time_span[0], r.time_span[1] + 1):
+        ks = np.flatnonzero((traj.times >= r.t_lo) & (traj.times <= r.t_hi))
+        sel = (x >= r.x_lo) & (x <= r.x_hi)
+        assert len(ks) >= 2 and np.count_nonzero(sel) >= 2
+        for k in ks:
             u = traj.snapshots[k]
             ux = d.derivative(u, 1)
             F = d.dx_invert_lambda2(d.Field(traj.grid, u.values**2 + 0.5 * ux.values**2))
-            sel = slice(r.node_span[0], r.node_span[1] + 1)
             assert np.max(np.abs(F.values[sel])) < 1e-8
 
 
@@ -397,4 +412,4 @@ def test_an_infinite_threshold_keeps_its_meaning():
     traj = _zero_run(GK.TRUNCATED_LINE)
     assert d.support_interval(traj.snapshots[0], _INF).interval is None
     (rect,) = d.vanishing_rectangle(traj, _INF)
-    assert rect.node_span == (0, traj.grid.n - 1)
+    assert (rect.x_lo, rect.x_hi) == (traj.grid.nodes[0], traj.grid.nodes[-1])

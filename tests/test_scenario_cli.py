@@ -186,7 +186,8 @@ def test_parse_kind_specific_constraints():
     doc["params"] = {"omega": 10.0, "gamma": -20.0 + 1e-11}
     doc["solver"]["dt"] = 1e-4
     scn = parse_scenario(doc)
-    d.continuation_probe(scn.u0, d.rhs_nonlocal(scn.u0, scn.params), scn.params)
+    (cfg,) = scn.runs.values()
+    d.continuation_probe(d.Trajectory(cfg, [0.0], [scn.u0], d.Termination.COMPLETED))
     doc = _base_doc(kind="ManufacturedConvergence")
     doc["grid"] = {"kind": "line", "n": 64, "half_width": 5.0}
     with pytest.raises(ScenarioError, match="periodic"):

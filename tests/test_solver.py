@@ -825,6 +825,16 @@ def test_trajectory_keeps_a_read_only_copy_of_its_times(pgrid):
     assert isinstance(tr.snapshots, tuple) and tr.snapshots == tuple(snaps)
 
 
+def test_trajectory_rejects_a_snapshot_on_another_grid():
+    # drift_series would compare values read on two grids; evolve_characteristics
+    # would fail deep inside on the shapes
+    coarse, fine = d.make_grid(GK.PERIODIC, 32), d.make_grid(GK.PERIODIC, 64)
+    cfg = d.SimConfig(coarse, d.PhysParams(0.0, 0.0), dt=0.1, t_end=0.2)
+    snaps = [d.Field.zeros(coarse), d.Field(fine, np.ones(fine.n)), d.Field.zeros(fine)]
+    with pytest.raises(ValueError, match="snapshot 1 lives on .*n=64.*, not the config's .*n=32"):
+        d.Trajectory(cfg, [0.0, 0.1, 0.2], snaps, d.Termination.COMPLETED)
+
+
 def test_trajectories_compare_and_hash_by_identity(pgrid):
     cfg = d.SimConfig(pgrid, d.PhysParams(0.0, 0.0), dt=5e-4, t_end=0.01, snapshot_stride=5)
     u0 = d.make_profile(pgrid, "cosine", amplitude=0.1)
