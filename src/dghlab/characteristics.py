@@ -57,11 +57,12 @@ class _SnapshotInterpolant:
     Each column maps a snapshot Field to its node values; ``blend`` returns
     one row per column.  In space a sample is the cubic through the four
     nodes nearest it (nodes i-1 .. i+2 around the panel [x_i, x_{i+1}]); on
-    the line the first and last panels take the one-sided four nodes, on the
-    circle node indices wrap.  Snapshot k's columns are computed into slot
-    k % 2 of one (2, columns, n) array when that slot holds another snapshot:
-    a forward sweep blends snapshots k and k + 1, and one ``take`` on the two
-    slots gathers both.
+    the circle node indices wrap.  On the line the first and last panels are
+    clipped to the four end nodes: the same one-sided cubic that the P/Q
+    sweeps' ghost-padded end panels integrate.  Snapshot k's columns are
+    computed into slot k % 2 of one (2, columns, n) array when that slot
+    holds another snapshot: a forward sweep blends snapshots k and k + 1, and
+    one ``take`` on the two slots gathers both.
     """
 
     def __init__(self, traj: Trajectory, columns: tuple[Callable[[Field], np.ndarray], ...]):

@@ -26,8 +26,10 @@ O(n) scheme with fourth-order accuracy.  Each recurrence is solved as a
 transposed unit-bidiagonal band system (LAPACK ``dtbtrs``), which works
 through the nodes in the recurrence's own order, so the results are bitwise
 equal to running the recurrence itself.  The panel weights depend only on
-the spacing and are cached; the interior panels are a 4-tap correlation of
-f with them.  The sweeps run in storage the caller gives, a (2, n) array
+the spacing and are cached; every panel is a 4-tap correlation of f with
+them, f padded at each end with one ghost value that extends the cubic
+through the four end nodes, so the end panels integrate that one-sided
+cubic.  The sweeps run in storage the caller gives, a (2, n) array
 with rows P and Q: the panel integrals are written into ``P[1:]`` and
 ``Q[:-1]``, ``dtbtrs`` solves them there, and ``(Q - P)/2`` is formed in
 the Q row, so a caller that keeps the array (the solver's line kernel)
@@ -48,7 +50,6 @@ import sys
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,12 +79,9 @@ def _lagrange_coeffs(sigma_nodes) -> np.ndarray:
     return np.linalg.inv(V).T
 
 
-# Each panel [x_i, x_{i+1}] maps to sigma in [0, 1].  Interior panels
-# interpolate f through the nodes at sigma = -1, 0, 1, 2; the first and last
-# panels use one-sided stencils of the same width.
+# Each panel [x_i, x_{i+1}] maps to sigma in [0, 1] and interpolates f
+# through the nodes at sigma = -1, 0, 1, 2.
 _LAGRANGE_INTERIOR = _lagrange_coeffs([-1.0, 0.0, 1.0, 2.0])
-_LAGRANGE_FIRST = _lagrange_coeffs([0.0, 1.0, 2.0, 3.0])
-_LAGRANGE_LAST = _lagrange_coeffs([-2.0, -1.0, 0.0, 1.0])
 
 
 def _exp_panel_moments(h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -104,29 +102,10 @@ def _exp_panel_moments(h: float) -> tuple[np.ndarray, np.ndarray]:
     return nu_a, nu_b
 
 
-class _PanelWeights(NamedTuple):
-    """Dot-product weights of the panel integrals A and B (see ``_panel_integrals``)."""
-
-    interior_a: np.ndarray  # h * (_LAGRANGE_INTERIOR @ nu_a)
-    interior_b: np.ndarray
-    first_a: np.ndarray  # _LAGRANGE_FIRST @ nu_a, scaled by h after the dot
-    first_b: np.ndarray
-    last_a: np.ndarray  # _LAGRANGE_LAST @ nu_a, scaled by h after the dot
-    last_b: np.ndarray
-
-
 @lru_cache(maxsize=32)
-def _panel_weights(h: float) -> _PanelWeights:
-    """Read-only panel weights for spacing h, computed once per spacing."""
-    nu_a, nu_b = _exp_panel_moments(h)
-    weights = _PanelWeights(
-        interior_a=h * (_LAGRANGE_INTERIOR @ nu_a),
-        interior_b=h * (_LAGRANGE_INTERIOR @ nu_b),
-        first_a=_LAGRANGE_FIRST @ nu_a,
-        first_b=_LAGRANGE_FIRST @ nu_b,
-        last_a=_LAGRANGE_LAST @ nu_a,
-        last_b=_LAGRANGE_LAST @ nu_b,
-    )
+def _panel_weights(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 4-tap weights of the panel integrals A and B for spacing h."""
+    weights = tuple(h * (_LAGRANGE_INTERIOR @ nu) for nu in _exp_panel_moments(h))
     for w in weights:
         w.setflags(write=False)
     return weights
@@ -138,18 +117,17 @@ def _panel_integrals(grid: Grid, vals: np.ndarray, A: np.ndarray, B: np.ndarray)
     Writes into the caller's arrays A and B, each of length n-1,
     A[i] = int_{x_i}^{x_{i+1}} exp(y - x_{i+1}) f(y) dy,
     B[i] = int_{x_i}^{x_{i+1}} exp(x_i - y) f(y) dy.
+    Panel i reads nodes i-1 .. i+2, a 4-tap correlation.  Each end is padded
+    with one ghost value, the cubic through the four end nodes extrapolated
+    one node out, so the end panels integrate that one-sided cubic.
     """
-    n = grid.n
-    h = grid.spacing
-    w = _panel_weights(h)
-    # interior panel i = 1 .. n-3 reads nodes i-1 .. i+2: a 4-tap correlation
-    A[1 : n - 2] = np.correlate(vals, w.interior_a, "valid")
-    B[1 : n - 2] = np.correlate(vals, w.interior_b, "valid")
-    # ndarray.dot: the ddot of ``@`` on contiguous vectors, for less call overhead
-    A[0] = h * vals[:4].dot(w.first_a)
-    B[0] = h * vals[:4].dot(w.first_b)
-    A[n - 2] = h * vals[-4:].dot(w.last_a)
-    B[n - 2] = h * vals[-4:].dot(w.last_b)
+    w_a, w_b = _panel_weights(grid.spacing)
+    padded = np.empty(grid.n + 2)
+    padded[1:-1] = vals
+    padded[0] = 4.0 * vals[0] - 6.0 * vals[1] + 4.0 * vals[2] - vals[3]
+    padded[-1] = 4.0 * vals[-1] - 6.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]
+    A[:] = np.correlate(padded, w_a, "valid")
+    B[:] = np.correlate(padded, w_b, "valid")
 
 
 @lru_cache(maxsize=32)

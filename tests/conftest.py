@@ -129,29 +129,20 @@ def panel_integrals_reference(grid, vals: np.ndarray, A: np.ndarray, B: np.ndarr
     """``helmholtz._panel_integrals`` as a sliding window and two matmuls per call.
 
     Writes into the caller's A and B, as the library does.  Weights are
-    rebuilt on every call; the arithmetic of each panel is the library's,
-    so the two must agree bitwise.
+    rebuilt on every call; the arithmetic of each panel, ghost values
+    included, is the library's, so the two must agree bitwise.
     """
-    from dghlab.helmholtz import (
-        _LAGRANGE_FIRST,
-        _LAGRANGE_INTERIOR,
-        _LAGRANGE_LAST,
-        _exp_panel_moments,
-    )
+    from dghlab.helmholtz import _LAGRANGE_INTERIOR, _exp_panel_moments
 
-    n = grid.n
     h = grid.spacing
     nu_a, nu_b = _exp_panel_moments(h)
-    w_a_int = h * (_LAGRANGE_INTERIOR @ nu_a)
-    w_b_int = h * (_LAGRANGE_INTERIOR @ nu_b)
-    # interior panels i = 1 .. n-3 read nodes i-1 .. i+2
-    stencil = np.lib.stride_tricks.sliding_window_view(vals, 4)  # rows j -> nodes j..j+3
-    A[1 : n - 2] = stencil[: n - 3] @ w_a_int
-    B[1 : n - 2] = stencil[: n - 3] @ w_b_int
-    A[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_a))
-    B[0] = h * (vals[:4] @ (_LAGRANGE_FIRST @ nu_b))
-    A[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_a))
-    B[n - 2] = h * (vals[-4:] @ (_LAGRANGE_LAST @ nu_b))
+    first = 4.0 * vals[0] - 6.0 * vals[1] + 4.0 * vals[2] - vals[3]
+    last = 4.0 * vals[-1] - 6.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]
+    padded = np.concatenate(([first], vals, [last]))
+    # panel i reads padded nodes i .. i+3, i.e. nodes i-1 .. i+2
+    stencil = np.lib.stride_tricks.sliding_window_view(padded, 4)
+    A[:] = stencil @ (h * (_LAGRANGE_INTERIOR @ nu_a))
+    B[:] = stencil @ (h * (_LAGRANGE_INTERIOR @ nu_b))
 
 
 # -- the four-node cubic by Lagrange's product: the oracle for the snapshot sampler --

@@ -292,6 +292,39 @@ def test_line_panel_integrals_are_bitwise_equal_to_sliding_window_oracle(n, monk
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _one_sided_panel_integrals(grid, vals):
+    """(A, B) with the first and last panels integrating the cubic through the
+    four end nodes by its own one-sided Lagrange weights."""
+    h = grid.spacing
+    nu_a, nu_b = d.helmholtz._exp_panel_moments(h)
+    lagrange = d.helmholtz._lagrange_coeffs
+    interior, first, last = lagrange([-1, 0, 1, 2]), lagrange([0, 1, 2, 3]), lagrange([-2, -1, 0, 1])
+    out = np.empty((2, grid.n - 1))
+    for row, nu in zip(out, (nu_a, nu_b)):
+        row[1:-1] = np.lib.stride_tricks.sliding_window_view(vals, 4) @ (h * (interior @ nu))
+        row[0] = h * (vals[:4] @ (first @ nu))
+        row[-1] = h * (vals[-4:] @ (last @ nu))
+    return out
+
+
+@pytest.mark.parametrize("half_width", [0.5, 5.0, 20.0])
+@pytest.mark.parametrize("n", [16, 17, 256, 4096])
+def test_line_end_panels_integrate_the_one_sided_cubic(n, half_width):
+    # The ghost value extrapolates the cubic through the four end nodes, so the
+    # end panels integrate that cubic: only their rounding may differ.
+    g = d.make_grid(GK.TRUNCATED_LINE, n, half_width)
+    rng = np.random.default_rng(n)
+    for scale in 10.0 ** np.arange(-5, 6):
+        vals = scale * rng.normal(size=n)
+        got = np.empty((2, n - 1))
+        d.helmholtz._panel_integrals(g, vals, *got)
+        want = _one_sided_panel_integrals(g, vals)
+        assert np.array_equal(got[:, 1:-1], want[:, 1:-1])
+        for end, nodes in ((0, vals[:4]), (-1, vals[-4:])):
+            bound = 4e-15 * g.spacing * np.max(np.abs(nodes))
+            assert np.all(np.abs(got[:, end] - want[:, end]) <= bound)
+
+
 def _sweeps_by_recurrence(grid, vals):
     """P and Q by the sequential recurrences of the module docs, run by ``lfilter``."""
     A, B = np.empty((2, grid.n - 1))

@@ -875,6 +875,41 @@ def test_manufactured_scenario_with_damping(tmp_path):
     assert all(c["passed"] for c in meta["checks"]) and len(meta["checks"]) == 2
 
 
+def _ladder_doc(t_end):
+    return {
+        "name": "mms-ladder",
+        "kind": "ManufacturedConvergence",
+        "grid": {"kind": "periodic", "n": 128},
+        "params": {"omega": 0.0, "gamma": 0.0},
+        "initial": {"family": "cosine", "amplitude": 1.0},
+        "solver": {"dt": 8.0e-4, "t_end": t_end, "snapshot_stride": 12},
+        "options": {"dts": [1.6e-3, 8.0e-4]},
+    }
+
+
+def test_manufactured_errors_are_taken_where_each_rung_ended():
+    # t_end lies 5e-10 past the rungs' last step, inside the slack a SimConfig
+    # allows: exp(-t_end) u0 would floor both errors near 4.5e-10.
+    result = execute(parse_scenario(_ladder_doc(0.096 + 5e-10)))
+    checks = {c.name: c for c in result.checks}
+    errors = result.metadata["errors"]
+    assert errors["0.0016"] == pytest.approx(4.2e-12, rel=0.02)
+    assert errors["0.0008"] == pytest.approx(2.6e-13, rel=0.02)
+    assert checks["temporal_order"].passed and abs(checks["temporal_order"].value - 4.0) < 0.01
+
+
+def test_manufactured_fails_a_rung_that_stopped(monkeypatch):
+    scn = parse_scenario(_ladder_doc(0.096))
+    _patch_runs(monkeypatch, _cut_short(scn.runs["options.dts[1]"], d.Termination.BLOWUP_GUARD))
+    result = execute(scn)
+    checks = {c.name: c for c in result.checks}
+    exact = checks["exact_solution_reproduced"]
+    assert not exact.passed and exact.detail == "termination=blowup_guard"
+    order = checks["temporal_order"]
+    assert not order.passed and order.detail == "order undefined: termination=blowup_guard"
+    assert result.metadata["observed_order"] is None
+
+
 # -- a fuzz over the registry -------------------------------------------------
 
 # numbers at the edges every validator has to draw a line at, and non-numbers
